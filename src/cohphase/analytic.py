@@ -42,6 +42,7 @@ __all__ = [
     "cross_overlap_magnitude",
     "cross_overlap_phase",
     "overlap_decomposition",
+    "pair_overlap_magnitude",
     "pair_total_phase",
     "pair_dynamical_phase",
     "pair_geometric_phase",
@@ -260,6 +261,12 @@ def overlap_decomposition(spec: EntangledSpec, modes: ModePair) -> OverlapDecomp
         overlap_real=real,
         overlap_imag=imag,
     )
+
+
+def pair_overlap_magnitude(spec: EntangledSpec, modes: ModePair) -> float:
+    """Magnitude of the normalized overlap |<psi(0)|psi(tau)>|, in [0, 1]."""
+    dec = overlap_decomposition(spec, modes)
+    return math.hypot(dec.overlap_real, dec.overlap_imag) / (2.0 * norm_squared(spec))
 
 
 def pair_total_phase(

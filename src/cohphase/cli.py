@@ -4,8 +4,11 @@ Commands: `single` and `pair` print one labelled value per line; `sweep`
 writes a CSV curve over one swept parameter; `verify` runs the randomized
 analytic-vs-oracle harness and exits nonzero on failure.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or I/O error,
-3 degenerate state, 4 undefined total phase.  Numbers are printed with
+Exit codes: 0 success, 1 verification failure, 2 usage or I/O error or an
+oracle cutoff that cannot be met (TruncationError, CapacityError),
+3 degenerate state, 4 undefined total phase, 5 arithmetic failure such as
+an overflow inside a closed form.  Every error prints one `error:` line on
+stderr instead of a traceback.  Numbers are printed with
 twelve digits after the decimal point, locale independent, so identical
 invocations produce byte-identical output.
 """
@@ -22,6 +25,7 @@ import numpy as np
 from . import __version__, analytic
 from .core import (
     CoherentParam,
+    CoherentPhaseError,
     DegenerateStateError,
     EntangledSpec,
     ModePair,
@@ -37,6 +41,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_UNDEFINED = 4
+EXIT_ARITHMETIC = 5
 
 TARGETS = ("single", "pair", "antipodal", "one-particle")
 SWEPT_NAMES = ("tau", "theta", "varphi", "rho_alpha", "rho_mu")
@@ -157,7 +162,7 @@ def _pair_inputs(target: str, bind: dict[str, float]) -> tuple[EntangledSpec, Mo
 def _eval_pairlike(target: str, bind: dict[str, float]) -> PointResult:
     spec, modes = _pair_inputs(target, bind)
     try:
-        nsq = analytic.norm_squared(spec)
+        overlap = analytic.pair_overlap_magnitude(spec, modes)
         if target == "pair":
             delta = analytic.pair_dynamical_phase(spec, modes)
         elif target == "antipodal":
@@ -166,8 +171,6 @@ def _eval_pairlike(target: str, bind: dict[str, float]) -> PointResult:
             delta = analytic.one_particle_dynamical_phase(spec, modes.omega1, modes.tau)
     except DegenerateStateError:
         return PointResult(None, None, None, None, note="degenerate state")
-    dec = analytic.overlap_decomposition(spec, modes)
-    overlap = math.hypot(dec.overlap_real, dec.overlap_imag) / (2.0 * nsq)
     try:
         chi = analytic.pair_total_phase(spec, modes)
         if target == "pair":
@@ -325,11 +328,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = OracleConfig(
-        n_max_override=args.n_max,
-        trunc_tol=args.trunc_tol,
-        time_steps=args.time_steps,
-    )
+    config = OracleConfig(n_max_override=args.n_max, trunc_tol=args.trunc_tol)
     report = run_verification(
         samples=args.samples,
         seed=args.seed,
@@ -391,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=1)
     verify.add_argument("--tolerance", type=float, default=1e-8)
     verify.add_argument("--n-max", dest="n_max", type=int, default=None)
-    verify.add_argument("--time-steps", dest="time_steps", type=int, default=4096)
     verify.add_argument("--trunc-tol", dest="trunc_tol", type=float, default=1e-12)
     verify.set_defaults(func=cmd_verify)
     return parser
@@ -408,9 +406,12 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ValueError, OSError) as exc:
+    except (CoherentPhaseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ARITHMETIC
 
 
 def run() -> None:

@@ -42,10 +42,6 @@ class CapacityError(CoherentPhaseError):
     """The Fock cutoff needed for the requested amplitude exceeds the hard cap."""
 
 
-class OracleInconsistencyError(CoherentPhaseError):
-    """Spectral and quadrature dynamical phases disagree; flags a bug."""
-
-
 def _checked_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):

@@ -4,15 +4,17 @@ States are dense complex coefficient vectors over number states |n> (one
 mode) or a rectangular grid |n1, n2> (two modes).  Evolution is exact and
 diagonal, so the total, dynamical, and geometric phases can be computed
 straight from their definitions: the argument of the endpoint overlap, the
-integrated connection -i <psi | d/dt | psi>, and their difference.  Nothing
-here uses any closed-form expression from the analytic module.
+conserved-energy value -<H> tau, and their difference.  The dynamical phase
+also has a kinematic form that reads only the states along a sampled path,
+the discrete connection sum of arg <psi_k|psi_{k+1}>.  Nothing here uses any
+closed-form expression from the analytic module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy import special
@@ -24,7 +26,6 @@ from .core import (
     CoherentParam,
     DegenerateStateError,
     EntangledSpec,
-    OracleInconsistencyError,
     TruncationError,
     UndefinedTotalPhaseError,
     _checked_finite,
@@ -35,7 +36,6 @@ __all__ = [
     "FOCK_CAP",
     "OracleConfig",
     "TruncatedState",
-    "DynamicalPhases",
     "poisson_tail",
     "fock_cutoff",
     "coherent_amplitudes",
@@ -65,13 +65,11 @@ class OracleConfig:
     """Knobs for the brute-force verifier.
 
     n_max_override forces a per-mode cutoff instead of the automatic Poisson
-    tail choice; trunc_tol bounds the neglected tail mass; time_steps is the
-    grid size for the quadrature form of the dynamical phase.
+    tail choice; trunc_tol bounds the neglected tail mass.
     """
 
     n_max_override: int | None = None
     trunc_tol: float = 1e-12
-    time_steps: int = 4096
 
     def __post_init__(self) -> None:
         if self.n_max_override is not None:
@@ -79,8 +77,6 @@ class OracleConfig:
                 raise ValueError(f"n_max_override must be a positive integer, got {self.n_max_override!r}")
         if not 0.0 < self.trunc_tol < 1.0:
             raise ValueError(f"trunc_tol must lie in (0, 1), got {self.trunc_tol!r}")
-        if not isinstance(self.time_steps, int) or self.time_steps < 2:
-            raise ValueError(f"time_steps must be an integer >= 2, got {self.time_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -114,14 +110,6 @@ class TruncatedState:
 
     def norm_squared(self) -> float:
         return float(np.vdot(self.coeffs, self.coeffs).real)
-
-
-@dataclass(frozen=True)
-class DynamicalPhases:
-    """Spectral (-<H> tau) and quadrature (integrated connection) values."""
-
-    spectral: float
-    quadrature: float
 
 
 def poisson_tail(mean: float, cutoff: int) -> float:
@@ -270,50 +258,37 @@ def oracle_total_phase(
     return math.atan2(ov.imag, ov.real)
 
 
-def quadrature_dynamical_phase(
-    state: TruncatedState,
-    omegas: OmegaLike,
-    tau: float,
-    time_steps: int,
-    *,
-    gauge_rate: Callable[[float], float] | None = None,
-    time_map: tuple[Callable[[float], float], Callable[[float], float]] | None = None,
-) -> float:
-    """Composite-trapezoid value of the dynamical phase integral over [0, tau].
+def quadrature_dynamical_phase(path: np.ndarray) -> float:
+    """Discrete connection sum_k arg <psi_k|psi_{k+1}> along a sampled path.
 
-    Samples the connection -i <psi(t)| d/dt |psi(t)> on a uniform grid of
-    time_steps points, evaluating the evolved amplitudes and their exact
-    diagonal derivative at each node.  gauge_rate, when given, is d kappa/dt
-    for a trajectory multiplied by e^{i kappa(t)} and adds to the integrand.
-    time_map = (t_of_s, dt_of_s) traverses the same physical path along a
-    reparametrized clock t = t_of_s(s), with s uniform on [0, tau].
+    path stacks the coefficient arrays of psi_0 .. psi_K along its first
+    axis.  The sum reads only the states, never H, so the geometric phase
+    oracle_total_phase(psi_0, psi_K) - quadrature_dynamical_phase(path) is
+    exactly invariant under a gauge twist psi_k -> e^{i kappa_k} psi_k.  For
+    a smooth path sampled at K steps the sum approaches -<H> tau with an
+    O(1/K^2) error.
     """
+    states = np.asarray(path)
+    if states.ndim < 2 or states.shape[0] < 2:
+        raise ValueError(f"path must stack at least two states, got shape {states.shape}")
+    flat = states.reshape(states.shape[0], -1)
+    steps = np.einsum("ki,ki->k", flat[:-1].conj(), flat[1:])
+    smallest = float(np.abs(steps).min())
+    if smallest < DEFAULT_OVERLAP_EPS:
+        raise UndefinedTotalPhaseError(
+            f"step overlap magnitude {smallest:.3e} below {DEFAULT_OVERLAP_EPS:.1e}; connection undefined"
+        )
+    return float(np.angle(steps).sum())
+
+
+def _checked_tau(tau: float) -> float:
     tau = _checked_finite("tau", tau)
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    if time_steps < 2:
-        raise ValueError(f"time_steps must be >= 2, got {time_steps}")
-    if tau == 0.0:
-        return 0.0
-    ws = _mode_frequencies(omegas, state.modes)
-    energies = _energy_grid(state, ws).ravel()
-    base = state.coeffs.ravel()
-
-    nodes = np.linspace(0.0, tau, time_steps)
-    integrand = np.empty(time_steps)
-    for k, s in enumerate(nodes):
-        t = time_map[0](s) if time_map is not None else s
-        scale = time_map[1](s) if time_map is not None else 1.0
-        evolved = base * np.exp(-1j * energies * t)
-        value = -float((energies * (evolved.real**2 + evolved.imag**2)).sum())
-        if gauge_rate is not None:
-            value += gauge_rate(t)
-        integrand[k] = value * scale
-    step = tau / (time_steps - 1)
-    return float(step * (0.5 * integrand[0] + integrand[1:-1].sum() + 0.5 * integrand[-1]))
+    return tau
 
 
-def _subject_state(subject: Subject, config: OracleConfig) -> TruncatedState:
+def _subject_state(subject: Subject, config: OracleConfig | None) -> TruncatedState:
     if isinstance(subject, TruncatedState):
         return subject
     if isinstance(subject, CoherentParam):
@@ -328,23 +303,10 @@ def oracle_dynamical_phase(
     omegas: OmegaLike,
     tau: float,
     config: OracleConfig | None = None,
-) -> DynamicalPhases:
-    """Dynamical phase computed two independent ways.
-
-    Spectral: -<H> tau using the conserved mean energy.  Quadrature: the
-    trapezoid integral of the sampled connection.  The two must agree within
-    max(1e-10, 10 / time_steps^2) or the oracle declares itself inconsistent.
-    """
-    config = config or OracleConfig()
-    state = _subject_state(subject, config)
-    spectral = -mean_energy(state, omegas) * tau
-    quadrature = quadrature_dynamical_phase(state, omegas, tau, config.time_steps)
-    bound = max(1e-10, 10.0 / config.time_steps**2)
-    if abs(spectral - quadrature) > bound:
-        raise OracleInconsistencyError(
-            f"spectral {spectral!r} and quadrature {quadrature!r} disagree beyond {bound:.3e}"
-        )
-    return DynamicalPhases(spectral=spectral, quadrature=quadrature)
+) -> float:
+    """Dynamical phase -<H> tau from the conserved mean energy."""
+    tau = _checked_tau(tau)
+    return -mean_energy(_subject_state(subject, config), omegas) * tau
 
 
 def oracle_geometric_phase(
@@ -357,15 +319,11 @@ def oracle_geometric_phase(
 ) -> float:
     """Geometric phase from the definitions: arg of overlap minus -<H> tau.
 
-    The dynamical part uses the spectral value, exact up to truncation; the
-    result is a principal value shifted by an unbounded real, so comparisons
-    against closed forms go through circle_distance.
+    The result is a principal value shifted by an unbounded real, so
+    comparisons against closed forms go through circle_distance.
     """
-    config = config or OracleConfig()
-    tau = _checked_finite("tau", tau)
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    tau = _checked_tau(tau)
     state = _subject_state(subject, config)
     final = evolve(state, omegas, tau)
     total = oracle_total_phase(state, final, overlap_eps=overlap_eps)
-    return total + mean_energy(state, omegas) * tau
+    return total - oracle_dynamical_phase(state, omegas, tau)

@@ -115,11 +115,6 @@ class _Case:
         }
 
 
-def _overlap_magnitude(spec: EntangledSpec, modes: ModePair) -> float:
-    dec = analytic.overlap_decomposition(spec, modes)
-    return math.hypot(dec.overlap_real, dec.overlap_imag) / (2.0 * analytic.norm_squared(spec))
-
-
 def _draw_case(rng: np.random.Generator) -> _Case:
     while True:
         rhos = rng.uniform(0.0, 1.5, size=4)
@@ -145,11 +140,11 @@ def _draw_case(rng: np.random.Generator) -> _Case:
                 continue
             if analytic.norm_squared(anti) < MIN_NORM_SQUARED:
                 continue
-            if _overlap_magnitude(spec, modes) < MIN_OVERLAP:
+            if analytic.pair_overlap_magnitude(spec, modes) < MIN_OVERLAP:
                 continue
-            if _overlap_magnitude(anti, modes) < MIN_OVERLAP:
+            if analytic.pair_overlap_magnitude(anti, modes) < MIN_OVERLAP:
                 continue
-            if _overlap_magnitude(anti, single_modes) < MIN_OVERLAP:
+            if analytic.pair_overlap_magnitude(anti, single_modes) < MIN_OVERLAP:
                 continue
         except DegenerateStateError:
             continue
@@ -171,7 +166,7 @@ def _oracle_triple(
     """(total, dynamical, geometric) straight from the definitions."""
     final = oracle.evolve(state, omegas, tau)
     total = oracle.oracle_total_phase(state, final)
-    dynamical = -oracle.mean_energy(state, omegas) * tau
+    dynamical = oracle.oracle_dynamical_phase(state, omegas, tau)
     return total, dynamical, total - dynamical
 
 

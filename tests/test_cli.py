@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from cohphase import CapacityError, cli
 from cohphase.cli import main
 
 PI = math.pi
@@ -122,6 +123,18 @@ class TestPairCommand:
         )
         assert code == 4
         assert "undefined" in err
+
+    def test_overflow_exit_code(self, capsys):
+        # near-parallel branches at rho = 20 overflow the closed-form norm
+        code, out, err = run_cli(
+            capsys,
+            ["pair", "--rho-alpha", "20", "--rho-beta", "20", "--phi-beta", "0.01",
+             "--rho-mu", "20", "--rho-nu", "20", "--phi-nu", "0.02", "--theta", "1",
+             "--varphi", "0.3", "--omega1", "1", "--omega2", "1", "--tau", "0.001"],
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: OverflowError") and err.count("\n") == 1
 
 
 class TestSweepCommand:
@@ -320,11 +333,30 @@ class TestVerifyCommand:
     def test_oracle_config_overrides_accepted(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            ["verify", "--samples", "2", "--seed", "3", "--n-max", "48",
-             "--time-steps", "512", "--trunc-tol", "1e-10"],
+            ["verify", "--samples", "2", "--seed", "3", "--n-max", "48", "--trunc-tol", "1e-10"],
         )
         assert code == 0
         assert "result: PASS" in out
+
+    def test_truncation_error_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--samples", "1", "--n-max", "5"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cutoff override 5") and err.count("\n") == 1
+
+    def test_capacity_error_exit_code(self, capsys, monkeypatch):
+        def over_cap(**kwargs):
+            raise CapacityError("amplitude needs a Fock cutoff above the cap")
+
+        monkeypatch.setattr(cli, "run_verification", over_cap)
+        code, _, err = run_cli(capsys, ["verify", "--samples", "1"])
+        assert code == 2
+        assert err == "error: amplitude needs a Fock cutoff above the cap\n"
+
+    def test_removed_step_count_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--time-steps", "512"])
+        assert excinfo.value.code == 2
 
     def test_unreachable_tolerance_fails(self, capsys):
         code, out, _ = run_cli(

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bargmann import extrapolated_dynamical_phase
 from cohphase import (
     CapacityError,
     CoherentParam,
@@ -65,7 +66,7 @@ class TestCutoff:
             {"n_max_override": -3},
             {"trunc_tol": 0.0},
             {"trunc_tol": 1.0},
-            {"time_steps": 1},
+            {"trunc_tol": math.nan},
         ],
     )
     def test_config_validation(self, kwargs):
@@ -218,31 +219,31 @@ class TestOracleTotalPhase:
 
 class TestOracleDynamicalPhase:
     def test_vacuum(self):
-        phases = oracle_dynamical_phase(CoherentParam(0.0), 1.0, PI)
-        assert phases.spectral == pytest.approx(-PI / 2.0, abs=1e-12)
-        assert phases.quadrature == pytest.approx(-PI / 2.0, abs=1e-10)
+        assert oracle_dynamical_phase(CoherentParam(0.0), 1.0, PI) == pytest.approx(-PI / 2.0, abs=1e-12)
+        state = build_coherent(CoherentParam(0.0))
+        assert extrapolated_dynamical_phase(state, 1.0, PI) == pytest.approx(-PI / 2.0, abs=1e-10)
 
     def test_half_cycle(self):
-        phases = oracle_dynamical_phase(CoherentParam(1.0), 1.0, PI)
-        assert phases.spectral == pytest.approx(-1.5 * PI, abs=1e-10)
+        assert oracle_dynamical_phase(CoherentParam(1.0), 1.0, PI) == pytest.approx(-1.5 * PI, abs=1e-10)
 
     def test_spectral_and_quadrature_agree(self):
         spec = EntangledSpec.antipodal(CoherentParam(1.0, 0.7), CoherentParam(0.8, 1.9), 1.2, 0.5)
-        config = OracleConfig(time_steps=512)
-        phases = oracle_dynamical_phase(spec, (1.1, 0.7), 1.8, config)
-        assert abs(phases.spectral - phases.quadrature) < max(1e-10, 10.0 / 512**2)
+        state = build_entangled(spec)
+        spectral = oracle_dynamical_phase(state, (1.1, 0.7), 1.8)
+        assert abs(spectral - extrapolated_dynamical_phase(state, (1.1, 0.7), 1.8)) < 1e-10
 
     def test_zero_time(self):
-        phases = oracle_dynamical_phase(CoherentParam(1.0), 1.0, 0.0)
-        assert phases.spectral == 0.0
-        assert phases.quadrature == 0.0
+        state = build_coherent(CoherentParam(1.0))
+        assert oracle_dynamical_phase(state, 1.0, 0.0) == 0.0
+        assert extrapolated_dynamical_phase(state, 1.0, 0.0) == 0.0
 
     def test_matches_antipodal_closed_form(self):
         spec = EntangledSpec.antipodal(CoherentParam(1.0), CoherentParam(1.0), PI / 2.0, 0.0)
         expected = -(2.0 * PI * 3.0 + math.exp(-4.0) * 2.0 * PI * (-1.0)) / (1.0 + math.exp(-4.0))
-        phases = oracle_dynamical_phase(spec, (1.0, 1.0), 2.0 * PI)
-        assert abs(phases.spectral - expected) < 1e-9
-        assert abs(phases.quadrature - expected) < 1e-9
+        state = build_entangled(spec)
+        assert abs(oracle_dynamical_phase(state, (1.0, 1.0), 2.0 * PI) - expected) < 1e-9
+        quadrature = extrapolated_dynamical_phase(state, (1.0, 1.0), 2.0 * PI, steps=1024)
+        assert abs(quadrature - expected) < 1e-9
 
 
 class TestOracleGeometricPhase:
@@ -284,13 +285,20 @@ class TestQuadrature:
     def test_rejects_bad_grid(self):
         state = build_coherent(CoherentParam(1.0))
         with pytest.raises(ValueError):
-            quadrature_dynamical_phase(state, 1.0, 1.0, 1)
+            quadrature_dynamical_phase(state.coeffs[None])
         with pytest.raises(ValueError):
-            quadrature_dynamical_phase(state, 1.0, -1.0, 128)
+            quadrature_dynamical_phase(state.coeffs)
+        with pytest.raises(ValueError):
+            oracle_dynamical_phase(state, 1.0, -1.0)
+
+    def test_rejects_orthogonal_step(self):
+        near = build_coherent(CoherentParam(0.0), OracleConfig(n_max_override=128))
+        far = build_coherent(CoherentParam(7.0), OracleConfig(n_max_override=128))
+        with pytest.raises(UndefinedTotalPhaseError):
+            quadrature_dynamical_phase(np.stack([near.coeffs, far.coeffs]))
 
     def test_matches_spectral_on_plain_path(self):
         state = build_coherent(CoherentParam(1.2, 0.3))
         tau = 2.4
         spectral = -mean_energy(state, 1.1) * tau
-        quad = quadrature_dynamical_phase(state, 1.1, tau, 256)
-        assert abs(quad - spectral) < 1e-12
+        assert abs(extrapolated_dynamical_phase(state, 1.1, tau, steps=1024) - spectral) < 1e-12
