@@ -9,24 +9,19 @@ directly from the definitions.
 __version__ = "0.1.0"
 
 from .analytic import (
-    OverlapDecomposition,
     antipodal_dynamical_parts,
     antipodal_dynamical_phase,
     antipodal_geometric_phase,
-    branch_overlap_magnitude,
-    branch_overlap_phase,
-    cross_overlap_magnitude,
-    cross_overlap_phase,
     cyclic_pair_parts,
     cyclic_pair_phase,
     cyclic_single_phase,
     norm_squared,
     one_particle_dynamical_phase,
     one_particle_geometric_phase,
-    overlap_decomposition,
     pair_dynamical_phase,
     pair_geometric_phase,
-    pair_overlap_magnitude,
+    overlap_phase,
+    pair_overlap,
     pair_total_phase,
     single_overlap,
     single_phases,
@@ -86,17 +81,12 @@ __all__ = [
     "circle_distance",
     "unwrap_sequence",
     # analytic
-    "OverlapDecomposition",
     "single_overlap",
     "single_phases",
     "unequal_time_overlap",
+    "overlap_phase",
     "norm_squared",
-    "branch_overlap_magnitude",
-    "branch_overlap_phase",
-    "cross_overlap_magnitude",
-    "cross_overlap_phase",
-    "overlap_decomposition",
-    "pair_overlap_magnitude",
+    "pair_overlap",
     "pair_total_phase",
     "pair_dynamical_phase",
     "pair_geometric_phase",

@@ -1,12 +1,17 @@
 """Closed-form phase expressions for harmonically evolving coherent states.
 
 The single-mode results follow from the overlap of a coherent state with its
-evolved self.  The two-mode results cover superpositions of two product
-coherent states, with the general four-term overlap decomposition, the
-collapsed forms for the antipodal family (beta = -alpha, nu = -mu), the
-cyclic special cases omega tau = 2 pi l, and the one-particle reduction
-obtained by switching off the second potential (omega2 = 0).
+evolved self.  Every two-mode result comes from one sum over the branch pairs
+(i, j) of the state: the product overlap <a_i m_i, 0|a_j m_j, tau> weighted
+by conj(c_i) c_j gives the overlap <psi(0)|psi(tau)>, whose argument is the
+total phase, and the same sum weighted by the pair's energy gives the
+dynamical phase.  On top of it sit the collapsed forms for the antipodal
+family (beta = -alpha, nu = -mu), the cyclic special cases
+omega tau = 2 pi l, and the one-particle reduction obtained by switching off
+the second potential (omega2 = 0).
 
+Each overlap is exp of an exponent summed over modes before exponentiating;
+its real part is never positive, so no amplitude makes a term overflow.
 Quantities defined through an argument of a complex number (the total phases
 and the leading arctangent terms of the antipodal forms) are principal values
 in (-pi, pi]; everything else is returned unwrapped.
@@ -16,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_NORM_EPS,
@@ -32,17 +36,12 @@ from .core import (
 )
 
 __all__ = [
-    "OverlapDecomposition",
     "single_overlap",
     "single_phases",
     "unequal_time_overlap",
+    "overlap_phase",
     "norm_squared",
-    "branch_overlap_magnitude",
-    "branch_overlap_phase",
-    "cross_overlap_magnitude",
-    "cross_overlap_phase",
-    "overlap_decomposition",
-    "pair_overlap_magnitude",
+    "pair_overlap",
     "pair_total_phase",
     "pair_dynamical_phase",
     "pair_geometric_phase",
@@ -67,6 +66,24 @@ def _check_single_mode(omega: float, tau: float) -> tuple[float, float]:
     return omega, tau
 
 
+def _abs2(label: complex) -> float:
+    # the real part of conj(z) z, bit for bit, so a same-label exponent is exactly 0 at tau = 0
+    return (label.conjugate() * label).real
+
+
+def _mode_exponent(bra: complex, ket: complex, wt: float) -> complex:
+    """Exponent of the one-mode overlap <bra, 0|ket, tau> at omega tau = wt.
+
+    -(|bra|^2 + |ket|^2)/2 + conj(bra) ket e^{-i wt} - i wt/2; the real part
+    equals -|bra - ket e^{-i wt}|^2 / 2, never positive.
+    """
+    return (
+        bra.conjugate() * ket * cmath.rect(1.0, -wt)
+        - 0.5 * (_abs2(bra) + _abs2(ket))
+        - 0.5j * wt
+    )
+
+
 def single_overlap(alpha: CoherentParam, omega: float, tau: float) -> complex:
     """Overlap of a coherent state at time 0 with itself at time tau.
 
@@ -74,10 +91,8 @@ def single_overlap(alpha: CoherentParam, omega: float, tau: float) -> complex:
     + omega tau / 2)]; magnitude in (0, 1], exactly 1 at tau = 0.
     """
     omega, tau = _check_single_mode(omega, tau)
-    wt = omega * tau
-    rho2 = alpha.rho * alpha.rho
-    magnitude = math.exp(-rho2 * (1.0 - math.cos(wt)))
-    return magnitude * cmath.exp(-1j * (rho2 * math.sin(wt) + 0.5 * wt))
+    label = alpha.label
+    return cmath.exp(_mode_exponent(label, label, omega * tau))
 
 
 def single_phases(alpha: CoherentParam, omega: float, tau: float) -> PhaseTriple:
@@ -112,228 +127,101 @@ def unequal_time_overlap(bra: CoherentParam, ket: CoherentParam, omega: float, t
         raise ValueError(f"omega must be nonnegative, got {omega}")
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    wt = omega * tau
-    cross = bra.label.conjugate() * ket.label * cmath.exp(-1j * wt)
-    exponent = -0.5 * (bra.rho**2 + ket.rho**2) + cross - 0.5j * wt
-    return cmath.exp(exponent)
+    return cmath.exp(_mode_exponent(bra.label, ket.label, omega * tau))
 
 
-def norm_squared(spec: EntangledSpec, *, norm_eps: float = DEFAULT_NORM_EPS) -> float:
-    """Squared normalization of the two-branch state; time independent.
+def overlap_phase(overlap: complex) -> float:
+    """Total phase: the principal argument of a normalized overlap <psi(0)|psi(tau)>.
 
-    N^2 = 1 + sin(theta) exp[-(|alpha|^2 + |beta|^2)/2 - (|mu|^2 + |nu|^2)/2]
-          * Re exp[i varphi + conj(alpha) beta + conj(mu) nu]
+    The phase is undefined, and UndefinedTotalPhaseError is raised, when
+    |overlap| < DEFAULT_OVERLAP_EPS; the oracle's oracle_total_phase applies
+    the same rule.  The two-argument arctangent keeps the quadrant.
     """
-    damping = math.exp(
-        -0.5 * (spec.alpha.rho**2 + spec.beta.rho**2)
-        - 0.5 * (spec.mu.rho**2 + spec.nu.rho**2)
-    )
-    cross = spec.alpha.label.conjugate() * spec.beta.label + spec.mu.label.conjugate() * spec.nu.label
-    value = 1.0 + math.sin(spec.theta) * damping * cmath.exp(1j * spec.varphi + cross).real
-    if value <= norm_eps:
+    if abs(overlap) < DEFAULT_OVERLAP_EPS:
+        raise UndefinedTotalPhaseError(
+            "initial and final states are numerically orthogonal; total phase undefined"
+        )
+    return math.atan2(overlap.imag, overlap.real)
+
+
+def _checked_norm(value: float) -> float:
+    if value <= DEFAULT_NORM_EPS:
         raise DegenerateStateError(
-            f"branches cancel destructively: squared norm {value:.3e} <= {norm_eps:.1e}"
+            f"branches cancel destructively: squared norm {value:.3e} <= {DEFAULT_NORM_EPS:.1e}"
         )
     return value
 
 
-def branch_overlap_magnitude(first: CoherentParam, second: CoherentParam, modes: ModePair) -> float:
-    """Magnitude of the same-branch two-mode overlap, in (0, 1].
+def _branch_sum(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float, complex, float]:
+    """(N^2, N^2 <psi(0)|psi(tau)>, N^2 <H> tau) of a two-branch state at omega_k tau = wkt.
 
-    exp[-rho_1^2 (1 - cos(omega1 tau)) - rho_2^2 (1 - cos(omega2 tau))]
+    One loop over the branch pairs (i, j), with c_1 = cos(theta/2) e^{-i varphi/2},
+    c_2 = sin(theta/2) e^{i varphi/2}, labels (a_i, m_i) and the exponent
+    -(|a_i|^2 + |a_j|^2 + |m_i|^2 + |m_j|^2)/2 + conj(a_i) a_j e^{-i omega1 tau}
+    + conj(m_i) m_j e^{-i omega2 tau} - i (omega1 + omega2) tau / 2
+    of the product overlap, summed per mode before it is exponentiated.
     """
-    w1t = modes.omega1 * modes.tau
-    w2t = modes.omega2 * modes.tau
-    return math.exp(
-        -first.rho**2 * (1.0 - math.cos(w1t)) - second.rho**2 * (1.0 - math.cos(w2t))
-    )
-
-
-def branch_overlap_phase(first: CoherentParam, second: CoherentParam, modes: ModePair) -> float:
-    """Unwrapped phase of the same-branch two-mode overlap.
-
-    -(rho_1^2 sin(omega1 tau) + omega1 tau / 2)
-    - (rho_2^2 sin(omega2 tau) + omega2 tau / 2)
-    """
-    w1t = modes.omega1 * modes.tau
-    w2t = modes.omega2 * modes.tau
-    return -(first.rho**2 * math.sin(w1t) + 0.5 * w1t) - (
-        second.rho**2 * math.sin(w2t) + 0.5 * w2t
-    )
-
-
-def cross_overlap_magnitude(
-    bra1: CoherentParam,
-    ket1: CoherentParam,
-    bra2: CoherentParam,
-    ket2: CoherentParam,
-    modes: ModePair,
-) -> float:
-    """Magnitude of the cross-branch overlap <bra1,0|ket1,tau><bra2,0|ket2,tau>, in (0, 1]."""
-    w1t = modes.omega1 * modes.tau
-    w2t = modes.omega2 * modes.tau
-    exponent = (
-        -0.5 * (bra1.rho**2 + ket1.rho**2)
-        - 0.5 * (bra2.rho**2 + ket2.rho**2)
-        + bra1.rho * ket1.rho * math.cos(bra1.phi - ket1.phi + w1t)
-        + bra2.rho * ket2.rho * math.cos(bra2.phi - ket2.phi + w2t)
-    )
-    return math.exp(exponent)
-
-
-def cross_overlap_phase(
-    bra1: CoherentParam,
-    ket1: CoherentParam,
-    bra2: CoherentParam,
-    ket2: CoherentParam,
-    modes: ModePair,
-) -> float:
-    """Unwrapped phase of the cross-branch overlap <bra1,0|ket1,tau><bra2,0|ket2,tau>."""
-    w1t = modes.omega1 * modes.tau
-    w2t = modes.omega2 * modes.tau
-    return -(
-        bra1.rho * ket1.rho * math.sin(bra1.phi - ket1.phi + w1t) + 0.5 * w1t
-    ) - (bra2.rho * ket2.rho * math.sin(bra2.phi - ket2.phi + w2t) + 0.5 * w2t)
-
-
-@dataclass(frozen=True)
-class OverlapDecomposition:
-    """Pieces of 2 N^2 <psi(0)|psi(tau)> for a two-branch state.
-
-    branch1/branch2 carry the same-branch terms; cross_fwd is the term with
-    branch 1 in the bra and branch 2 in the ket, cross_rev its reverse (note
-    the reverse term pairs (beta, alpha) on mode 1 with (nu, mu) on mode 2).
-    overlap_real and overlap_imag are the real and imaginary parts of the full
-    weighted sum, i.e. of 2 N^2 times the normalized overlap.
-    """
-
-    branch1_magnitude: float
-    branch2_magnitude: float
-    branch1_phase: float
-    branch2_phase: float
-    cross_fwd_magnitude: float
-    cross_rev_magnitude: float
-    cross_fwd_phase: float
-    cross_rev_phase: float
-    overlap_real: float
-    overlap_imag: float
-
-    @property
-    def raw_overlap(self) -> complex:
-        """2 N^2 <psi(0)|psi(tau)> as one complex number."""
-        return complex(self.overlap_real, self.overlap_imag)
-
-
-def overlap_decomposition(spec: EntangledSpec, modes: ModePair) -> OverlapDecomposition:
-    """Assemble the four-term overlap of the evolved two-branch state."""
-    f1 = branch_overlap_magnitude(spec.alpha, spec.mu, modes)
-    f2 = branch_overlap_magnitude(spec.beta, spec.nu, modes)
-    p1 = branch_overlap_phase(spec.alpha, spec.mu, modes)
-    p2 = branch_overlap_phase(spec.beta, spec.nu, modes)
-    g_fwd = cross_overlap_magnitude(spec.alpha, spec.beta, spec.mu, spec.nu, modes)
-    g_rev = cross_overlap_magnitude(spec.beta, spec.alpha, spec.nu, spec.mu, modes)
-    h_fwd = cross_overlap_phase(spec.alpha, spec.beta, spec.mu, spec.nu, modes)
-    h_rev = cross_overlap_phase(spec.beta, spec.alpha, spec.nu, spec.mu, modes)
-
+    a = (spec.alpha.label, spec.beta.label)
+    m = (spec.mu.label, spec.nu.label)
+    a2 = (_abs2(a[0]), _abs2(a[1]))
+    m2 = (_abs2(m[0]), _abs2(m[1]))
     cos_t = math.cos(spec.theta)
-    sin_t = math.sin(spec.theta)
-    real = (
-        (1.0 + cos_t) * f1 * math.cos(p1)
-        + (1.0 - cos_t) * f2 * math.cos(p2)
-        + sin_t * g_fwd * math.cos(h_fwd + spec.varphi)
-        + sin_t * g_rev * math.cos(h_rev - spec.varphi)
-    )
-    imag = (
-        (1.0 + cos_t) * f1 * math.sin(p1)
-        + (1.0 - cos_t) * f2 * math.sin(p2)
-        + sin_t * g_fwd * math.sin(h_fwd + spec.varphi)
-        + sin_t * g_rev * math.sin(h_rev - spec.varphi)
-    )
-    return OverlapDecomposition(
-        branch1_magnitude=f1,
-        branch2_magnitude=f2,
-        branch1_phase=p1,
-        branch2_phase=p2,
-        cross_fwd_magnitude=g_fwd,
-        cross_rev_magnitude=g_rev,
-        cross_fwd_phase=h_fwd,
-        cross_rev_phase=h_rev,
-        overlap_real=real,
-        overlap_imag=imag,
-    )
+    cross = 0.5 * math.sin(spec.theta) * cmath.rect(1.0, spec.varphi)
+    weights = ((0.5 * (1.0 + cos_t), cross), (cross.conjugate(), 0.5 * (1.0 - cos_t)))
+    turn1 = cmath.rect(1.0, -w1t)
+    turn2 = cmath.rect(1.0, -w2t)
+    zero_point = 0.5j * (w1t + w2t)
+
+    nsq = overlap = energy = 0j
+    for i in (0, 1):
+        for j in (0, 1):
+            ab = a[i].conjugate() * a[j]
+            mn = m[i].conjugate() * m[j]
+            damp1 = 0.5 * (a2[i] + a2[j])
+            damp2 = 0.5 * (m2[i] + m2[j])
+            same_time = weights[i][j] * cmath.exp((ab - damp1) + (mn - damp2))
+            nsq += same_time
+            energy += same_time * (w1t * (0.5 + ab) + w2t * (0.5 + mn))
+            overlap += weights[i][j] * cmath.exp((ab * turn1 - damp1) + (mn * turn2 - damp2) - zero_point)
+    return nsq.real, overlap, energy.real
 
 
-def pair_overlap_magnitude(spec: EntangledSpec, modes: ModePair) -> float:
-    """Magnitude of the normalized overlap |<psi(0)|psi(tau)>|, in [0, 1]."""
-    dec = overlap_decomposition(spec, modes)
-    return math.hypot(dec.overlap_real, dec.overlap_imag) / (2.0 * norm_squared(spec))
+def norm_squared(spec: EntangledSpec) -> float:
+    """Squared normalization of the two-branch state; time independent.
 
-
-def pair_total_phase(
-    spec: EntangledSpec,
-    modes: ModePair,
-    *,
-    overlap_eps: float = DEFAULT_OVERLAP_EPS,
-) -> float:
-    """Principal argument of the two-branch overlap, quadrant correct.
-
-    Uses the two-argument arctangent of (imaginary, real) parts; a single
-    argument arctangent of their ratio would lose the quadrant.
+    N^2 = 1 + sin(theta) Re[e^{i varphi} <alpha|beta><mu|nu>]; raises
+    DegenerateStateError when it is at most DEFAULT_NORM_EPS.
     """
-    dec = overlap_decomposition(spec, modes)
-    if math.hypot(dec.overlap_real, dec.overlap_imag) < overlap_eps:
-        raise UndefinedTotalPhaseError(
-            "initial and final states are numerically orthogonal; total phase undefined"
-        )
-    return math.atan2(dec.overlap_imag, dec.overlap_real)
+    return _checked_norm(_branch_sum(spec, 0.0, 0.0)[0])
 
 
-def pair_dynamical_phase(
-    spec: EntangledSpec,
-    modes: ModePair,
-    *,
-    norm_eps: float = DEFAULT_NORM_EPS,
-) -> float:
+def pair_overlap(spec: EntangledSpec, modes: ModePair) -> complex:
+    """Normalized overlap <psi(0)|psi(tau)> of the two-branch state; magnitude in [0, 1]."""
+    nsq, overlap, _ = _branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)
+    return overlap / _checked_norm(nsq)
+
+
+def pair_total_phase(spec: EntangledSpec, modes: ModePair) -> float:
+    """Principal argument of the two-branch overlap (see overlap_phase)."""
+    return overlap_phase(pair_overlap(spec, modes))
+
+
+def pair_dynamical_phase(spec: EntangledSpec, modes: ModePair) -> float:
     """Dynamical phase -<H> tau of the two-branch state; unwrapped and linear in tau.
 
-    Three contributions: the two branch expectations weighted by
-    (1 +/- cos theta)/2 and a cross term carrying the complex label products
-    conj(alpha) beta and conj(mu) nu, all divided by the squared norm.
+    Each branch pair contributes its equal-time overlap times
+    omega1 tau (1/2 + conj(a_i) a_j) + omega2 tau (1/2 + conj(m_i) m_j),
+    and the sum is divided by the squared norm.
     """
-    nsq = norm_squared(spec, norm_eps=norm_eps)
-    w1t = modes.omega1 * modes.tau
-    w2t = modes.omega2 * modes.tau
-    cos_t = math.cos(spec.theta)
-    sin_t = math.sin(spec.theta)
-
-    branch1 = w1t * (0.5 + spec.alpha.rho**2) + w2t * (0.5 + spec.mu.rho**2)
-    branch2 = w1t * (0.5 + spec.beta.rho**2) + w2t * (0.5 + spec.nu.rho**2)
-
-    ab = spec.alpha.label.conjugate() * spec.beta.label
-    mn = spec.mu.label.conjugate() * spec.nu.label
-    weight = cmath.exp(
-        1j * spec.varphi
-        - 0.5 * (spec.alpha.rho**2 + spec.beta.rho**2)
-        + ab
-        - 0.5 * (spec.mu.rho**2 + spec.nu.rho**2)
-        + mn
-    )
-    cross = (sin_t * weight * (w1t * (0.5 + ab) + w2t * (0.5 + mn))).real
-
-    return -(0.5 * (1.0 + cos_t) * branch1 + 0.5 * (1.0 - cos_t) * branch2 + cross) / nsq
+    nsq, _, energy = _branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)
+    return -energy / _checked_norm(nsq)
 
 
-def pair_geometric_phase(
-    spec: EntangledSpec,
-    modes: ModePair,
-    *,
-    overlap_eps: float = DEFAULT_OVERLAP_EPS,
-    norm_eps: float = DEFAULT_NORM_EPS,
-) -> float:
+def pair_geometric_phase(spec: EntangledSpec, modes: ModePair) -> float:
     """Geometric phase of the two-branch state: total minus dynamical."""
-    return pair_total_phase(spec, modes, overlap_eps=overlap_eps) - pair_dynamical_phase(
-        spec, modes, norm_eps=norm_eps
-    )
+    nsq, overlap, energy = _branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)
+    nsq = _checked_norm(nsq)
+    return overlap_phase(overlap / nsq) + energy / nsq
 
 
 def _require_antipodal(spec: EntangledSpec) -> None:
@@ -341,7 +229,7 @@ def _require_antipodal(spec: EntangledSpec) -> None:
         raise ValueError("spec must satisfy beta = -alpha and nu = -mu")
 
 
-def _antipodal_weights(spec: EntangledSpec, norm_eps: float) -> tuple[float, float]:
+def _antipodal_weights(spec: EntangledSpec) -> tuple[float, float]:
     """(cross-term coupling, squared norm) of an antipodal spec.
 
     coupling = sin(theta) cos(varphi) exp[-2 (rho_alpha^2 + rho_mu^2)]; the
@@ -352,20 +240,10 @@ def _antipodal_weights(spec: EntangledSpec, norm_eps: float) -> tuple[float, flo
         * math.cos(spec.varphi)
         * math.exp(-2.0 * (spec.alpha.rho**2 + spec.mu.rho**2))
     )
-    denom = 1.0 + coupling
-    if denom <= norm_eps:
-        raise DegenerateStateError(
-            f"antipodal branches cancel destructively: squared norm {denom:.3e} <= {norm_eps:.1e}"
-        )
-    return coupling, denom
+    return coupling, _checked_norm(1.0 + coupling)
 
 
-def antipodal_dynamical_parts(
-    spec: EntangledSpec,
-    modes: ModePair,
-    *,
-    norm_eps: float = DEFAULT_NORM_EPS,
-) -> tuple[float, float]:
+def antipodal_dynamical_parts(spec: EntangledSpec, modes: ModePair) -> tuple[float, float]:
     """Per-mode dynamical phases (delta_1, delta_2) of an antipodal spec.
 
     delta_k = -[omega_k tau (1/2 + rho_k^2)
@@ -375,7 +253,7 @@ def antipodal_dynamical_parts(
     spec.
     """
     _require_antipodal(spec)
-    coupling, denom = _antipodal_weights(spec, norm_eps)
+    coupling, denom = _antipodal_weights(spec)
     w1t = modes.omega1 * modes.tau
     w2t = modes.omega2 * modes.tau
     ra2 = spec.alpha.rho**2
@@ -385,52 +263,31 @@ def antipodal_dynamical_parts(
     return delta1, delta2
 
 
-def antipodal_dynamical_phase(
-    spec: EntangledSpec,
-    modes: ModePair,
-    *,
-    norm_eps: float = DEFAULT_NORM_EPS,
-) -> float:
+def antipodal_dynamical_phase(spec: EntangledSpec, modes: ModePair) -> float:
     """Dynamical phase of an antipodal spec; equals the sum of its per-mode parts."""
-    delta1, delta2 = antipodal_dynamical_parts(spec, modes, norm_eps=norm_eps)
+    delta1, delta2 = antipodal_dynamical_parts(spec, modes)
     return delta1 + delta2
 
 
-def antipodal_geometric_phase(
-    spec: EntangledSpec,
-    modes: ModePair,
-    *,
-    overlap_eps: float = DEFAULT_OVERLAP_EPS,
-    norm_eps: float = DEFAULT_NORM_EPS,
-) -> float:
+def antipodal_geometric_phase(spec: EntangledSpec, modes: ModePair) -> float:
     """Geometric phase of an antipodal spec in collapsed two-term form.
 
-    First term: the principal two-argument arctangent of the overlap built
-    from the same-branch magnitude/phase and the cross term weighted by
-    sin(theta) cos(varphi).  Second term: minus the closed-form dynamical
-    phase.  Agrees with pair_geometric_phase mod 2 pi.
+    First term: the total phase of the overlap
+    [same + sin(theta) cos(varphi) cross] / (1 + coupling), where same is the
+    same-branch product overlap <alpha mu, 0|alpha mu, tau> and cross the
+    cross-branch one <alpha mu, 0|-alpha -mu, tau>.  Second term: minus the
+    closed-form dynamical phase.  Agrees with pair_geometric_phase mod 2 pi.
     """
-    _require_antipodal(spec)
-    delta1, delta2 = antipodal_dynamical_parts(spec, modes, norm_eps=norm_eps)
-    sc = math.sin(spec.theta) * math.cos(spec.varphi)
+    delta1, delta2 = antipodal_dynamical_parts(spec, modes)  # checks that spec is antipodal
+    _, denom = _antipodal_weights(spec)
     w1t = modes.omega1 * modes.tau
     w2t = modes.omega2 * modes.tau
-    ra2 = spec.alpha.rho**2
-    rm2 = spec.mu.rho**2
-
-    same_mag = math.exp(-ra2 * (1.0 - math.cos(w1t)) - rm2 * (1.0 - math.cos(w2t)))
-    same_phase = -(ra2 * math.sin(w1t) + 0.5 * w1t) - (rm2 * math.sin(w2t) + 0.5 * w2t)
-    cross_mag = math.exp(-ra2 * (1.0 + math.cos(w1t)) - rm2 * (1.0 + math.cos(w2t)))
-    cross_phase = (ra2 * math.sin(w1t) - 0.5 * w1t) + (rm2 * math.sin(w2t) - 0.5 * w2t)
-
-    imag = same_mag * math.sin(same_phase) + sc * cross_mag * math.sin(cross_phase)
-    real = same_mag * math.cos(same_phase) + sc * cross_mag * math.cos(cross_phase)
-    # the full overlap is 2x these components, so the threshold matches pair_total_phase
-    if 2.0 * math.hypot(real, imag) < overlap_eps:
-        raise UndefinedTotalPhaseError(
-            "initial and final states are numerically orthogonal; total phase undefined"
-        )
-    return math.atan2(imag, real) - (delta1 + delta2)
+    a = spec.alpha.label
+    m = spec.mu.label
+    same = cmath.exp(_mode_exponent(a, a, w1t) + _mode_exponent(m, m, w2t))
+    cross = cmath.exp(_mode_exponent(a, -a, w1t) + _mode_exponent(m, -m, w2t))
+    sc = math.sin(spec.theta) * math.cos(spec.varphi)
+    return overlap_phase((same + sc * cross) / denom) - (delta1 + delta2)
 
 
 def _checked_turns(name: str, value: int) -> int:
@@ -447,12 +304,7 @@ def _cyclic_mode_phase(turns: int, rho2: float, coupling: float, denom: float) -
     ) / denom
 
 
-def cyclic_single_phase(
-    spec: EntangledSpec,
-    l1: int,
-    *,
-    norm_eps: float = DEFAULT_NORM_EPS,
-) -> float:
+def cyclic_single_phase(spec: EntangledSpec, l1: int) -> float:
     """Mode-1 geometric phase of an antipodal spec after l1 full cycles.
 
     -pi l1 + 2 pi [l1 (1/2 + rho_alpha^2)
@@ -460,35 +312,23 @@ def cyclic_single_phase(
     """
     _require_antipodal(spec)
     l1 = _checked_turns("l1", l1)
-    coupling, denom = _antipodal_weights(spec, norm_eps)
+    coupling, denom = _antipodal_weights(spec)
     return _cyclic_mode_phase(l1, spec.alpha.rho**2, coupling, denom)
 
 
-def cyclic_pair_parts(
-    spec: EntangledSpec,
-    l1: int,
-    l2: int,
-    *,
-    norm_eps: float = DEFAULT_NORM_EPS,
-) -> tuple[float, float]:
+def cyclic_pair_parts(spec: EntangledSpec, l1: int, l2: int) -> tuple[float, float]:
     """Per-mode cyclic geometric phases; mode 2 mirrors mode 1 with (l2, rho_mu)."""
     _require_antipodal(spec)
     l1 = _checked_turns("l1", l1)
     l2 = _checked_turns("l2", l2)
-    coupling, denom = _antipodal_weights(spec, norm_eps)
+    coupling, denom = _antipodal_weights(spec)
     return (
         _cyclic_mode_phase(l1, spec.alpha.rho**2, coupling, denom),
         _cyclic_mode_phase(l2, spec.mu.rho**2, coupling, denom),
     )
 
 
-def cyclic_pair_phase(
-    spec: EntangledSpec,
-    l1: int,
-    l2: int,
-    *,
-    norm_eps: float = DEFAULT_NORM_EPS,
-) -> float:
+def cyclic_pair_phase(spec: EntangledSpec, l1: int, l2: int) -> float:
     """Geometric phase of an antipodal spec after (l1, l2) full mode cycles.
 
     -pi (l1 + l2) + 2 pi [l1 (1/2 + rho_alpha^2) + l2 (1/2 + rho_mu^2)
@@ -498,7 +338,7 @@ def cyclic_pair_phase(
     _require_antipodal(spec)
     l1 = _checked_turns("l1", l1)
     l2 = _checked_turns("l2", l2)
-    coupling, denom = _antipodal_weights(spec, norm_eps)
+    coupling, denom = _antipodal_weights(spec)
     ra2 = spec.alpha.rho**2
     rm2 = spec.mu.rho**2
     return -math.pi * (l1 + l2) + TWO_PI * (
@@ -508,31 +348,16 @@ def cyclic_pair_phase(
     ) / denom
 
 
-def one_particle_geometric_phase(
-    spec: EntangledSpec,
-    omega1: float,
-    tau: float,
-    *,
-    overlap_eps: float = DEFAULT_OVERLAP_EPS,
-    norm_eps: float = DEFAULT_NORM_EPS,
-) -> float:
+def one_particle_geometric_phase(spec: EntangledSpec, omega1: float, tau: float) -> float:
     """Geometric phase picked up by particle 1 when only it feels a potential.
 
     This is the antipodal closed form with omega2 = 0: the second particle
     still shifts the result through the entanglement coupling even though it
     acquires no phase of its own.
     """
-    return antipodal_geometric_phase(
-        spec, ModePair(omega1, 0.0, tau), overlap_eps=overlap_eps, norm_eps=norm_eps
-    )
+    return antipodal_geometric_phase(spec, ModePair(omega1, 0.0, tau))
 
 
-def one_particle_dynamical_phase(
-    spec: EntangledSpec,
-    omega1: float,
-    tau: float,
-    *,
-    norm_eps: float = DEFAULT_NORM_EPS,
-) -> float:
+def one_particle_dynamical_phase(spec: EntangledSpec, omega1: float, tau: float) -> float:
     """Dynamical phase of particle 1 alone (the mode-1 part at omega2 = 0)."""
-    return antipodal_dynamical_parts(spec, ModePair(omega1, 0.0, tau), norm_eps=norm_eps)[0]
+    return antipodal_dynamical_parts(spec, ModePair(omega1, 0.0, tau))[0]

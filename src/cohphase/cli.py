@@ -4,13 +4,15 @@ Commands: `single` and `pair` print one labelled value per line; `sweep`
 writes a CSV curve over one swept parameter; `verify` runs the randomized
 analytic-vs-oracle harness and exits nonzero on failure.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or I/O error or an
-oracle cutoff that cannot be met (TruncationError, CapacityError),
-3 degenerate state, 4 undefined total phase, 5 arithmetic failure such as
-an overflow inside a closed form.  Every error prints one `error:` line on
-stderr instead of a traceback.  Numbers are printed with
-twelve digits after the decimal point, locale independent, so identical
-invocations produce byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 usage or I/O error
+(a non-finite or non-positive `verify --tolerance` included) or an oracle
+cutoff that cannot be met (TruncationError, CapacityError), 3 degenerate
+state, 4 undefined total phase (the normalized endpoint overlap is below
+1e-10, in `single` as in `pair`), 5 any other arithmetic failure
+(ArithmeticError).  Every error prints one `error:` line on stderr instead
+of a traceback.  Numbers are printed with twelve digits after the decimal
+point, locale independent, so identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ _ALLOWED_SWEPT: dict[str, tuple[str, ...]] = {
 #: Sweep-parameter name -> binding name, where they differ.
 _SWEPT_ALIAS = {"single": {"rho_alpha": "rho"}}
 
+#: Sweep warning, and `single`'s error, where the endpoint overlap vanishes.
+_UNDEFINED_NOTE = "total phase undefined"
+
 
 def _fmt(value: float) -> str:
     # adding 0.0 maps -0.0 to +0.0 and leaves every other value untouched
@@ -134,8 +139,12 @@ class PointResult:
 def _eval_single(bind: dict[str, float]) -> PointResult:
     alpha = CoherentParam(bind["rho"], bind["phi"])
     triple = analytic.single_phases(alpha, bind["omega"], bind["tau"])
-    overlap = abs(analytic.single_overlap(alpha, bind["omega"], bind["tau"]))
-    return PointResult(triple.total, triple.dynamical, triple.geometric, overlap)
+    overlap = analytic.single_overlap(alpha, bind["omega"], bind["tau"])
+    try:
+        analytic.overlap_phase(overlap)
+    except UndefinedTotalPhaseError:
+        return PointResult(None, triple.dynamical, None, abs(overlap), note=_UNDEFINED_NOTE)
+    return PointResult(triple.total, triple.dynamical, triple.geometric, abs(overlap))
 
 
 def _pair_inputs(target: str, bind: dict[str, float]) -> tuple[EntangledSpec, ModePair]:
@@ -162,7 +171,7 @@ def _pair_inputs(target: str, bind: dict[str, float]) -> tuple[EntangledSpec, Mo
 def _eval_pairlike(target: str, bind: dict[str, float]) -> PointResult:
     spec, modes = _pair_inputs(target, bind)
     try:
-        overlap = analytic.pair_overlap_magnitude(spec, modes)
+        overlap = analytic.pair_overlap(spec, modes)
         if target == "pair":
             delta = analytic.pair_dynamical_phase(spec, modes)
         elif target == "antipodal":
@@ -172,7 +181,7 @@ def _eval_pairlike(target: str, bind: dict[str, float]) -> PointResult:
     except DegenerateStateError:
         return PointResult(None, None, None, None, note="degenerate state")
     try:
-        chi = analytic.pair_total_phase(spec, modes)
+        chi = analytic.overlap_phase(overlap)
         if target == "pair":
             gamma = chi - delta
         elif target == "antipodal":
@@ -180,8 +189,8 @@ def _eval_pairlike(target: str, bind: dict[str, float]) -> PointResult:
         else:
             gamma = analytic.one_particle_geometric_phase(spec, modes.omega1, modes.tau)
     except UndefinedTotalPhaseError:
-        return PointResult(None, delta, None, overlap, note="total phase undefined")
-    return PointResult(chi, delta, gamma, overlap)
+        return PointResult(None, delta, None, abs(overlap), note=_UNDEFINED_NOTE)
+    return PointResult(chi, delta, gamma, abs(overlap))
 
 
 def evaluate_point(target: str, bind: dict[str, float]) -> PointResult:
@@ -269,6 +278,8 @@ def _resolve_bindings(target: str, swept: str | None, args: argparse.Namespace) 
 def cmd_single(args: argparse.Namespace) -> int:
     bind = _resolve_bindings("single", None, args)
     point = _eval_single(bind)
+    if point.note is not None:
+        raise UndefinedTotalPhaseError(point.note)
     _print_table(
         [
             ("chi", point.chi),

@@ -70,7 +70,7 @@ class CoherentParam:
     @property
     def label(self) -> complex:
         """Cartesian form rho * exp(i phi)."""
-        return self.rho * cmath.exp(1j * self.phi)
+        return cmath.rect(self.rho, self.phi)
 
     def negated(self) -> "CoherentParam":
         """The antipodal label: same amplitude, phase advanced by pi."""

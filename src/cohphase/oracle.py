@@ -243,17 +243,12 @@ def mean_energy(state: TruncatedState, omegas: OmegaLike) -> float:
     return float((energies * mags).sum())
 
 
-def oracle_total_phase(
-    initial: TruncatedState,
-    final: TruncatedState,
-    *,
-    overlap_eps: float = DEFAULT_OVERLAP_EPS,
-) -> float:
-    """Principal argument of <initial|final>."""
+def oracle_total_phase(initial: TruncatedState, final: TruncatedState) -> float:
+    """Principal argument of <initial|final>; undefined below DEFAULT_OVERLAP_EPS."""
     ov = state_overlap(initial, final)
-    if abs(ov) < overlap_eps:
+    if abs(ov) < DEFAULT_OVERLAP_EPS:
         raise UndefinedTotalPhaseError(
-            f"overlap magnitude {abs(ov):.3e} below {overlap_eps:.1e}; total phase undefined"
+            f"overlap magnitude {abs(ov):.3e} below {DEFAULT_OVERLAP_EPS:.1e}; total phase undefined"
         )
     return math.atan2(ov.imag, ov.real)
 
@@ -314,8 +309,6 @@ def oracle_geometric_phase(
     omegas: OmegaLike,
     tau: float,
     config: OracleConfig | None = None,
-    *,
-    overlap_eps: float = DEFAULT_OVERLAP_EPS,
 ) -> float:
     """Geometric phase from the definitions: arg of overlap minus -<H> tau.
 
@@ -325,5 +318,5 @@ def oracle_geometric_phase(
     tau = _checked_tau(tau)
     state = _subject_state(subject, config)
     final = evolve(state, omegas, tau)
-    total = oracle_total_phase(state, final, overlap_eps=overlap_eps)
+    total = oracle_total_phase(state, final)
     return total - oracle_dynamical_phase(state, omegas, tau)

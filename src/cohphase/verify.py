@@ -140,11 +140,11 @@ def _draw_case(rng: np.random.Generator) -> _Case:
                 continue
             if analytic.norm_squared(anti) < MIN_NORM_SQUARED:
                 continue
-            if analytic.pair_overlap_magnitude(spec, modes) < MIN_OVERLAP:
+            if abs(analytic.pair_overlap(spec, modes)) < MIN_OVERLAP:
                 continue
-            if analytic.pair_overlap_magnitude(anti, modes) < MIN_OVERLAP:
+            if abs(analytic.pair_overlap(anti, modes)) < MIN_OVERLAP:
                 continue
-            if analytic.pair_overlap_magnitude(anti, single_modes) < MIN_OVERLAP:
+            if abs(analytic.pair_overlap(anti, single_modes)) < MIN_OVERLAP:
                 continue
         except DegenerateStateError:
             continue
@@ -233,8 +233,8 @@ def run_verification(
     """Draw `samples` random cases and compare every family against the oracle."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     config = config or oracle.OracleConfig()
     rng = np.random.default_rng(seed)
     results = {name: FamilyResult(name) for name in FAMILY_NAMES}

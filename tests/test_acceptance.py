@@ -24,20 +24,19 @@ from cohphase import (
     antipodal_geometric_phase,
     build_entangled,
     circle_distance,
-    cross_overlap_magnitude,
-    cross_overlap_phase,
     cyclic_pair_parts,
     cyclic_pair_phase,
     evolve,
     norm_squared,
     oracle_dynamical_phase,
     oracle_geometric_phase,
-    overlap_decomposition,
     pair_dynamical_phase,
     pair_geometric_phase,
+    pair_overlap,
     quadrature_dynamical_phase,
     single_phases,
     state_overlap,
+    unequal_time_overlap,
 )
 from cohphase.cli import main
 
@@ -243,20 +242,23 @@ def test_criterion_8_typo_adjudication():
     oracle_overlap = state_overlap(state, final)
     nsq = norm_squared(spec)
 
-    dec = overlap_decomposition(spec, modes)
-    adopted_overlap_err = abs(dec.raw_overlap / (2.0 * nsq) - oracle_overlap)
+    adopted_overlap_err = abs(pair_overlap(spec, modes) - oracle_overlap)
 
     # candidate reverse cross term without swapping the mode-2 labels
+    def product(bra, ket):
+        return unequal_time_overlap(bra[0], ket[0], modes.omega1, modes.tau) * unequal_time_overlap(
+            bra[1], ket[1], modes.omega2, modes.tau
+        )
+
     cos_t, sin_t = math.cos(spec.theta), math.sin(spec.theta)
-    bad_mag = cross_overlap_magnitude(spec.beta, spec.alpha, spec.mu, spec.nu, modes)
-    bad_phase = cross_overlap_phase(spec.beta, spec.alpha, spec.mu, spec.nu, modes)
+    branch1, branch2 = (spec.alpha, spec.mu), (spec.beta, spec.nu)
     printed_raw = (
-        (1.0 + cos_t) * dec.branch1_magnitude * cmath.exp(1j * dec.branch1_phase)
-        + (1.0 - cos_t) * dec.branch2_magnitude * cmath.exp(1j * dec.branch2_phase)
-        + sin_t * dec.cross_fwd_magnitude * cmath.exp(1j * (dec.cross_fwd_phase + spec.varphi))
-        + sin_t * bad_mag * cmath.exp(1j * (bad_phase - spec.varphi))
+        0.5 * (1.0 + cos_t) * product(branch1, branch1)
+        + 0.5 * (1.0 - cos_t) * product(branch2, branch2)
+        + 0.5 * sin_t * cmath.exp(1j * spec.varphi) * product(branch1, branch2)
+        + 0.5 * sin_t * cmath.exp(-1j * spec.varphi) * product((spec.beta, spec.mu), (spec.alpha, spec.nu))
     )
-    printed_overlap_err = abs(printed_raw / (2.0 * nsq) - oracle_overlap)
+    printed_overlap_err = abs(printed_raw / nsq - oracle_overlap)
 
     oracle_delta = oracle_dynamical_phase(state, (modes.omega1, modes.omega2), modes.tau)
     adopted_delta_err = abs(pair_dynamical_phase(spec, modes) - oracle_delta)

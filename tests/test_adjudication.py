@@ -18,14 +18,13 @@ from cohphase import (
     EntangledSpec,
     ModePair,
     build_entangled,
-    cross_overlap_magnitude,
-    cross_overlap_phase,
     evolve,
     mean_energy,
     norm_squared,
-    overlap_decomposition,
     pair_dynamical_phase,
+    pair_overlap,
     state_overlap,
+    unequal_time_overlap,
 )
 
 # asymmetric label phases so the candidate readings separate cleanly
@@ -49,26 +48,29 @@ def oracle_endpoints():
 
 def test_adopted_cross_ordering_matches_oracle(oracle_endpoints):
     state, final = oracle_endpoints
-    dec = overlap_decomposition(SPEC, MODES)
-    normalized = dec.raw_overlap / (2.0 * norm_squared(SPEC))
-    assert abs(normalized - state_overlap(state, final)) < 1e-10
+    assert abs(pair_overlap(SPEC, MODES) - state_overlap(state, final)) < 1e-10
 
 
 def test_unswapped_mode2_ordering_fails(oracle_endpoints):
     # reverse cross term built with (beta, alpha) on mode 1 but (mu, nu) on
     # mode 2, i.e. without swapping the second mode's labels
     state, final = oracle_endpoints
-    dec = overlap_decomposition(SPEC, MODES)
-    bad_magnitude = cross_overlap_magnitude(SPEC.beta, SPEC.alpha, SPEC.mu, SPEC.nu, MODES)
-    bad_phase = cross_overlap_phase(SPEC.beta, SPEC.alpha, SPEC.mu, SPEC.nu, MODES)
+    w1, w2, tau = MODES.omega1, MODES.omega2, MODES.tau
+
+    def product(first, second):
+        return unequal_time_overlap(first[0], second[0], w1, tau) * unequal_time_overlap(
+            first[1], second[1], w2, tau
+        )
+
     cos_t, sin_t = math.cos(SPEC.theta), math.sin(SPEC.theta)
+    branch1, branch2 = (SPEC.alpha, SPEC.mu), (SPEC.beta, SPEC.nu)
     raw = (
-        (1.0 + cos_t) * dec.branch1_magnitude * cmath.exp(1j * dec.branch1_phase)
-        + (1.0 - cos_t) * dec.branch2_magnitude * cmath.exp(1j * dec.branch2_phase)
-        + sin_t * dec.cross_fwd_magnitude * cmath.exp(1j * (dec.cross_fwd_phase + SPEC.varphi))
-        + sin_t * bad_magnitude * cmath.exp(1j * (bad_phase - SPEC.varphi))
+        0.5 * (1.0 + cos_t) * product(branch1, branch1)
+        + 0.5 * (1.0 - cos_t) * product(branch2, branch2)
+        + 0.5 * sin_t * cmath.exp(1j * SPEC.varphi) * product(branch1, branch2)
+        + 0.5 * sin_t * cmath.exp(-1j * SPEC.varphi) * product((SPEC.beta, SPEC.mu), (SPEC.alpha, SPEC.nu))
     )
-    normalized = raw / (2.0 * norm_squared(SPEC))
+    normalized = raw / norm_squared(SPEC)
     assert abs(normalized - state_overlap(state, final)) > 1e-3
 
 

@@ -19,9 +19,10 @@ from cohphase import (
     evolve,
     mean_energy,
     norm_squared,
-    overlap_decomposition,
+    overlap_phase,
     pair_dynamical_phase,
     pair_geometric_phase,
+    pair_overlap,
     pair_total_phase,
     single_overlap,
     single_phases,
@@ -193,7 +194,20 @@ class TestNormSquared:
             assert evolve(state, (1.3, 0.8), tau).norm_squared() == pytest.approx(1.0, abs=1e-12)
 
 
+def branch_pair_overlaps(spec, modes):
+    """The four product overlaps <a_i m_i, 0|a_j m_j, tau>, keyed by branch pair (i, j)."""
+    labels = {1: (spec.alpha, spec.mu), 2: (spec.beta, spec.nu)}
+    return {
+        (i, j): unequal_time_overlap(labels[i][0], labels[j][0], modes.omega1, modes.tau)
+        * unequal_time_overlap(labels[i][1], labels[j][1], modes.omega2, modes.tau)
+        for i in (1, 2)
+        for j in (1, 2)
+    }
+
+
 class TestOverlapDecomposition:
+    """pair_overlap against its decomposition into four branch-pair terms."""
+
     def test_theta_zero_bookkeeping(self):
         spec = EntangledSpec(
             CoherentParam(0.9, 0.2),
@@ -204,13 +218,10 @@ class TestOverlapDecomposition:
             0.6,
         )
         modes = ModePair(1.2, 0.8, 1.4)
-        dec = overlap_decomposition(spec, modes)
-        assert dec.overlap_imag == pytest.approx(
-            2.0 * dec.branch1_magnitude * math.sin(dec.branch1_phase), rel=1e-13
-        )
-        assert dec.overlap_real == pytest.approx(
-            2.0 * dec.branch1_magnitude * math.cos(dec.branch1_phase), rel=1e-13
-        )
+        branch1 = branch_pair_overlaps(spec, modes)[1, 1]
+        overlap = pair_overlap(spec, modes)
+        assert overlap.imag == pytest.approx(branch1.imag, rel=1e-13)
+        assert overlap.real == pytest.approx(branch1.real, rel=1e-13)
 
     def test_equal_time_values(self):
         spec = EntangledSpec(
@@ -222,29 +233,26 @@ class TestOverlapDecomposition:
             0.6,
         )
         modes = ModePair(1.2, 0.8, 0.0)
-        dec = overlap_decomposition(spec, modes)
-        assert dec.branch1_magnitude == 1.0
-        assert dec.branch1_phase == 0.0
+        pieces = branch_pair_overlaps(spec, modes)
+        assert pieces[1, 1] == 1.0
         expected_cross_phase = -(
             spec.alpha.rho * spec.beta.rho * math.sin(spec.alpha.phi - spec.beta.phi)
             + spec.mu.rho * spec.nu.rho * math.sin(spec.mu.phi - spec.nu.phi)
         )
-        assert dec.cross_fwd_phase == pytest.approx(expected_cross_phase, rel=1e-13)
-        assert dec.raw_overlap == pytest.approx(2.0 * norm_squared(spec), rel=1e-13)
+        assert cmath.phase(pieces[1, 2]) == pytest.approx(expected_cross_phase, rel=1e-13)
+        assert pair_overlap(spec, modes) == pytest.approx(1.0, rel=1e-13)
 
     def test_magnitudes_bounded(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             spec = random_spec(rng)
             modes = ModePair(rng.uniform(0.1, 4.0), rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0))
-            dec = overlap_decomposition(spec, modes)
-            for mag in (
-                dec.branch1_magnitude,
-                dec.branch2_magnitude,
-                dec.cross_fwd_magnitude,
-                dec.cross_rev_magnitude,
-            ):
-                assert 0.0 < mag <= 1.0
+            for piece in branch_pair_overlaps(spec, modes).values():
+                assert 0.0 < abs(piece) <= 1.0
+            try:
+                assert abs(pair_overlap(spec, modes)) <= 1.0 + 1e-12
+            except DegenerateStateError:
+                continue
 
     def test_reconstruction_against_product_form(self):
         rng = np.random.default_rng(7)
@@ -255,8 +263,7 @@ class TestOverlapDecomposition:
                 nsq = norm_squared(spec)
             except DegenerateStateError:
                 continue
-            dec = overlap_decomposition(spec, modes)
-            assert abs(dec.raw_overlap / (2.0 * nsq) - product_form_overlap(spec, modes) / nsq) < 1e-12
+            assert abs(pair_overlap(spec, modes) - product_form_overlap(spec, modes) / nsq) < 1e-12
 
     def test_documented_spec_matches_oracle(self):
         spec = EntangledSpec.antipodal(CoherentParam(0.5), CoherentParam(0.5), PI / 2.0, 0.0)
@@ -264,9 +271,7 @@ class TestOverlapDecomposition:
         config = OracleConfig(n_max_override=32)
         state = build_entangled(spec, config)
         final = evolve(state, (modes.omega1, modes.omega2), modes.tau)
-        dec = overlap_decomposition(spec, modes)
-        direct = dec.raw_overlap / (2.0 * norm_squared(spec))
-        assert abs(direct - state_overlap(state, final)) < 1e-10
+        assert abs(pair_overlap(spec, modes) - state_overlap(state, final)) < 1e-10
 
 
 class TestPairTotalPhase:
@@ -312,10 +317,12 @@ class TestPairTotalPhase:
         with pytest.raises(UndefinedTotalPhaseError):
             pair_total_phase(spec, ModePair(1.0, 1.0, PI))
 
-    def test_threshold_is_overridable(self):
-        spec = EntangledSpec.antipodal(CoherentParam(0.5), CoherentParam(0.5), PI / 2.0, 0.0)
+    def test_threshold_is_on_the_normalized_overlap(self):
+        # the same rule as oracle_total_phase: |<psi(0)|psi(tau)>| below 1e-10
         with pytest.raises(UndefinedTotalPhaseError):
-            pair_total_phase(spec, ModePair(1.0, 1.0, 0.0), overlap_eps=10.0)
+            overlap_phase(0.99e-10j)
+        assert overlap_phase(1.01e-10j) == pytest.approx(PI / 2.0, abs=1e-15)
+        assert overlap_phase(-1.0 + 0.0j) == PI
 
 
 class TestPairDynamicalPhase:
@@ -426,3 +433,43 @@ class TestPairGeometricPhase:
         gamma = pair_geometric_phase(spec, modes)
         assert abs(delta) > 0.1
         assert abs(wrap_principal(gamma)) > 1e-3
+
+
+class TestNearParallelLargeAmplitudes:
+    """Near-parallel branches at large rho, where exp(-rho^2) underflows."""
+
+    @staticmethod
+    def spec(rho):
+        return EntangledSpec(
+            CoherentParam(rho),
+            CoherentParam(rho, 0.01),
+            CoherentParam(rho),
+            CoherentParam(rho, 0.02),
+            1.0,
+            0.3,
+        )
+
+    @pytest.mark.parametrize("rho", [20.0, 36.0, 100.0])
+    def test_closed_forms_finite(self, rho):
+        spec = self.spec(rho)
+        modes = ModePair(1.0, 1.0, 0.001)
+        nsq = norm_squared(spec)
+        assert math.isfinite(nsq) and 0.0 < nsq <= 2.0
+        overlap = pair_overlap(spec, modes)
+        assert cmath.isfinite(overlap) and abs(overlap) <= 1.0 + 1e-12
+        total = pair_total_phase(spec, modes)
+        delta = pair_dynamical_phase(spec, modes)
+        gamma = pair_geometric_phase(spec, modes)
+        assert all(math.isfinite(x) for x in (total, delta, gamma))
+        assert circle_distance(gamma, total - delta) < 1e-12
+
+    @pytest.mark.parametrize("rho", [20.0, 36.0, 100.0])
+    def test_norm_matches_branch_overlap(self, rho):
+        # N^2 = 1 + sin(theta) Re[e^{i varphi} <alpha|beta><mu|nu>], the branch
+        # overlap from the one-mode closed form at tau = 0
+        spec = self.spec(rho)
+        cross = unequal_time_overlap(spec.alpha, spec.beta, 1.0, 0.0) * unequal_time_overlap(
+            spec.mu, spec.nu, 1.0, 0.0
+        )
+        expected = 1.0 + math.sin(spec.theta) * (cmath.exp(1j * spec.varphi) * cross).real
+        assert norm_squared(spec) == pytest.approx(expected, rel=1e-12)

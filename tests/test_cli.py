@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cohphase import CapacityError, cli
+from cohphase import CapacityError, CoherentParam, EntangledSpec, analytic, cli, oracle_geometric_phase
 from cohphase.cli import main
 
 PI = math.pi
@@ -61,6 +61,15 @@ class TestSingleCommand:
         code, _, err = run_cli(capsys, ["single", "--rho", "-1", "--omega", "1", "--tau", "1"])
         assert code == 2
         assert "error" in err
+
+    def test_undefined_total_phase_exit_code(self, capsys):
+        # |<alpha|alpha(tau)>| = exp(-72) at the half cycle, below 1e-10
+        code, out, err = run_cli(
+            capsys, ["single", "--rho", "6", "--omega", "1", "--tau", "3.141592653589793"]
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: total phase undefined\n"
 
 
 class TestPairCommand:
@@ -124,17 +133,38 @@ class TestPairCommand:
         assert code == 4
         assert "undefined" in err
 
-    def test_overflow_exit_code(self, capsys):
-        # near-parallel branches at rho = 20 overflow the closed-form norm
+    def test_near_parallel_large_amplitudes_match_oracle(self, capsys):
+        # exp(-rho^2) underflows here; the closed forms stay finite
         code, out, err = run_cli(
             capsys,
             ["pair", "--rho-alpha", "20", "--rho-beta", "20", "--phi-beta", "0.01",
              "--rho-mu", "20", "--rho-nu", "20", "--phi-nu", "0.02", "--theta", "1",
              "--varphi", "0.3", "--omega1", "1", "--omega2", "1", "--tau", "0.001"],
         )
+        assert code == 0 and err == ""
+        values = parse_table(out)
+        spec = EntangledSpec(
+            CoherentParam(20.0), CoherentParam(20.0, 0.01),
+            CoherentParam(20.0), CoherentParam(20.0, 0.02), 1.0, 0.3,
+        )
+        simulated = oracle_geometric_phase(spec, (1.0, 1.0), 0.001)
+        # 1e-8 plus the oracle's truncation bias bound trunc_tol * tau * sum omega (n_max + 1),
+        # with n_max <= 600 per mode at rho = 20
+        bias = 1e-12 * 0.001 * 2.0 * 601
+        assert abs(math.remainder(values["gamma"] - simulated, 2.0 * PI)) <= 1e-8 + bias
+
+    def test_overflow_exit_code(self, capsys, monkeypatch):
+        def overflow(spec, modes):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(analytic, "pair_total_phase", overflow)
+        code, out, err = run_cli(
+            capsys,
+            ["pair", "--rho-alpha", "1", "--omega1", "1", "--omega2", "1", "--tau", "1"],
+        )
         assert code == 5
         assert out == ""
-        assert err.startswith("error: OverflowError") and err.count("\n") == 1
+        assert err == "error: OverflowError: math range error\n"
 
 
 class TestSweepCommand:
@@ -235,6 +265,27 @@ class TestSweepCommand:
         for line in undefined:
             fields = line.split(",")
             assert fields[1] == "" and fields[3] == "" and fields[4] == ""
+            assert fields[2] != "" and fields[5] != ""
+
+    def test_single_undefined_rows_emitted_empty_with_warning(self, capsys, tmp_path):
+        out_path = tmp_path / "single-undef.csv"
+        code, _, err = run_cli(
+            capsys,
+            ["sweep", "--target", "single", "--swept", "tau", "--start", "0",
+             "--end", "6.283185307179586", "--steps", "5", "--rho", "6", "--omega", "1",
+             "--output", str(out_path)],
+        )
+        assert code == 0
+        assert err == (
+            "warning: total phase undefined at tau=1.570796326795\n"
+            "warning: total phase undefined at tau=3.141592653590\n"
+            "warning: total phase undefined at tau=4.712388980385\n"
+        )
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        for index, fields in enumerate(rows):
+            defined = index in (0, 4)
+            assert (fields[1] != "") == defined
+            assert (fields[3] != "") == defined and (fields[4] != "") == defined
             assert fields[2] != "" and fields[5] != ""
 
     def test_unwrap_restarts_after_undefined_gap(self, capsys, tmp_path):
@@ -357,6 +408,13 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--time-steps", "512"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-8"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tolerance):
+        code, out, err = run_cli(capsys, ["verify", "--samples", "2", f"--tolerance={tolerance}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be positive and finite") and err.count("\n") == 1
 
     def test_unreachable_tolerance_fails(self, capsys):
         code, out, _ = run_cli(
