@@ -55,6 +55,7 @@ from .oracle import (
     mean_energy,
     oracle_dynamical_phase,
     oracle_geometric_phase,
+    oracle_phases,
     oracle_total_phase,
     poisson_tail,
     quadrature_dynamical_phase,
@@ -112,6 +113,7 @@ __all__ = [
     "oracle_total_phase",
     "quadrature_dynamical_phase",
     "oracle_dynamical_phase",
+    "oracle_phases",
     "oracle_geometric_phase",
     # verify
     "VerificationReport",

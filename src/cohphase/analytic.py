@@ -1,17 +1,21 @@
 """Closed-form phase expressions for harmonically evolving coherent states.
 
 The single-mode results follow from the overlap of a coherent state with its
-evolved self.  Every two-mode result comes from one sum over the branch pairs
-(i, j) of the state: the product overlap <a_i m_i, 0|a_j m_j, tau> weighted
-by conj(c_i) c_j gives the overlap <psi(0)|psi(tau)>, whose argument is the
-total phase, and the same sum weighted by the pair's energy gives the
-dynamical phase.  On top of it sit the collapsed forms for the antipodal
-family (beta = -alpha, nu = -mu), the cyclic special cases
-omega tau = 2 pi l, and the one-particle reduction obtained by switching off
-the second potential (omega2 = 0).
+evolved self.  Every two-mode result comes from one of two kernels.
+`_branch_sum` sums over the branch pairs (i, j) of any two-branch state: the
+product overlap <a_i m_i, 0|a_j m_j, tau> weighted by conj(c_i) c_j gives
+<psi(0)|psi(tau)>, whose argument is the total phase, and the same sum
+weighted by the pair's energy gives the dynamical phase.  `_antipodal_parts`
+gives the antipodal family (beta = -alpha, nu = -mu) its squared norm and
+per-mode dynamical phases delta_k.  Its geometric phase is the argument of
+the collapsed overlap minus delta_1 + delta_2; its cyclic values are that at
+omega_k tau = 2 pi l_k, -pi l_k - delta_k per mode; its one-particle
+reduction switches off the second potential (omega2 = 0).
 
 Each overlap is exp of an exponent summed over modes before exponentiating;
 its real part is never positive, so no amplitude makes a term overflow.
+Labels whose squared amplitudes sum beyond the float range, and dynamical
+phases beyond it, raise ValueError instead of returning NaN or inf.
 Quantities defined through an argument of a complex number (the total phases
 and the leading arctangent terms of the antipodal forms) are principal values
 in (-pi, pi]; everything else is returned unwrapped.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 from .core import (
     DEFAULT_NORM_EPS,
@@ -71,17 +76,23 @@ def _abs2(label: complex) -> float:
     return (label.conjugate() * label).real
 
 
+def _checked_scale(total: float) -> float:
+    """A sum of squared label amplitudes; past the float range no overlap exponent exists."""
+    if not math.isfinite(total):
+        raise ValueError("label amplitudes too large: their squares sum beyond the float range")
+    return total
+
+
 def _mode_exponent(bra: complex, ket: complex, wt: float) -> complex:
     """Exponent of the one-mode overlap <bra, 0|ket, tau> at omega tau = wt.
 
     -(|bra|^2 + |ket|^2)/2 + conj(bra) ket e^{-i wt} - i wt/2; the real part
-    equals -|bra - ket e^{-i wt}|^2 / 2, never positive.
+    equals -|bra - ket e^{-i wt}|^2 / 2, never positive.  Halving each square
+    before adding keeps the damping finite while |bra|^2 and |ket|^2 are;
+    past that it raises ValueError.
     """
-    return (
-        bra.conjugate() * ket * cmath.rect(1.0, -wt)
-        - 0.5 * (_abs2(bra) + _abs2(ket))
-        - 0.5j * wt
-    )
+    damp = _checked_scale(0.5 * _abs2(bra) + 0.5 * _abs2(ket))
+    return bra.conjugate() * ket * cmath.rect(1.0, -wt) - damp - 0.5j * wt
 
 
 def single_overlap(alpha: CoherentParam, omega: float, tau: float) -> complex:
@@ -152,19 +163,29 @@ def _checked_norm(value: float) -> float:
     return value
 
 
+def _checked_dynamical(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError("dynamical phase beyond the float range: omega tau rho^2 overflows")
+    return value
+
+
 def _branch_sum(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float, complex, float]:
-    """(N^2, N^2 <psi(0)|psi(tau)>, N^2 <H> tau) of a two-branch state at omega_k tau = wkt.
+    """(N^2, <psi(0)|psi(tau)>, <H> tau) of a two-branch state at omega_k tau = wkt.
 
     One loop over the branch pairs (i, j), with c_1 = cos(theta/2) e^{-i varphi/2},
     c_2 = sin(theta/2) e^{i varphi/2}, labels (a_i, m_i) and the exponent
     -(|a_i|^2 + |a_j|^2 + |m_i|^2 + |m_j|^2)/2 + conj(a_i) a_j e^{-i omega1 tau}
     + conj(m_i) m_j e^{-i omega2 tau} - i (omega1 + omega2) tau / 2
-    of the product overlap, summed per mode before it is exponentiated.
+    of the product overlap, summed per mode before it is exponentiated.  The
+    overlap and the energy are divided by N^2, which must exceed
+    DEFAULT_NORM_EPS (DegenerateStateError); labels or energies beyond the
+    float range raise ValueError.
     """
     a = (spec.alpha.label, spec.beta.label)
     m = (spec.mu.label, spec.nu.label)
     a2 = (_abs2(a[0]), _abs2(a[1]))
     m2 = (_abs2(m[0]), _abs2(m[1]))
+    _checked_scale(a2[0] + a2[1] + m2[0] + m2[1])
     cos_t = math.cos(spec.theta)
     cross = 0.5 * math.sin(spec.theta) * cmath.rect(1.0, spec.varphi)
     weights = ((0.5 * (1.0 + cos_t), cross), (cross.conjugate(), 0.5 * (1.0 - cos_t)))
@@ -183,7 +204,8 @@ def _branch_sum(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float, com
             nsq += same_time
             energy += same_time * (w1t * (0.5 + ab) + w2t * (0.5 + mn))
             overlap += weights[i][j] * cmath.exp((ab * turn1 - damp1) + (mn * turn2 - damp2) - zero_point)
-    return nsq.real, overlap, energy.real
+    nsq = _checked_norm(nsq.real)
+    return nsq, overlap / nsq, _checked_dynamical(energy.real / nsq)
 
 
 def norm_squared(spec: EntangledSpec) -> float:
@@ -192,13 +214,12 @@ def norm_squared(spec: EntangledSpec) -> float:
     N^2 = 1 + sin(theta) Re[e^{i varphi} <alpha|beta><mu|nu>]; raises
     DegenerateStateError when it is at most DEFAULT_NORM_EPS.
     """
-    return _checked_norm(_branch_sum(spec, 0.0, 0.0)[0])
+    return _branch_sum(spec, 0.0, 0.0)[0]
 
 
 def pair_overlap(spec: EntangledSpec, modes: ModePair) -> complex:
     """Normalized overlap <psi(0)|psi(tau)> of the two-branch state; magnitude in [0, 1]."""
-    nsq, overlap, _ = _branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)
-    return overlap / _checked_norm(nsq)
+    return _branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)[1]
 
 
 def pair_total_phase(spec: EntangledSpec, modes: ModePair) -> float:
@@ -213,53 +234,49 @@ def pair_dynamical_phase(spec: EntangledSpec, modes: ModePair) -> float:
     omega1 tau (1/2 + conj(a_i) a_j) + omega2 tau (1/2 + conj(m_i) m_j),
     and the sum is divided by the squared norm.
     """
-    nsq, _, energy = _branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)
-    return -energy / _checked_norm(nsq)
+    return -_branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)[2]
 
 
 def pair_geometric_phase(spec: EntangledSpec, modes: ModePair) -> float:
     """Geometric phase of the two-branch state: total minus dynamical."""
-    nsq, overlap, energy = _branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)
-    nsq = _checked_norm(nsq)
-    return overlap_phase(overlap / nsq) + energy / nsq
+    _, overlap, energy = _branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)
+    return overlap_phase(overlap) + energy
 
 
-def _require_antipodal(spec: EntangledSpec) -> None:
+def _antipodal_parts(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float, float, float]:
+    """(N^2, delta_1, delta_2) of an antipodal spec at omega_k tau = wkt.
+
+    N^2 = 1 + coupling, and delta_k as in antipodal_dynamical_parts; on the
+    same spec they equal _branch_sum's N^2 and -<H> tau = delta_1 + delta_2.
+    Raises ValueError unless beta = -alpha and nu = -mu, and under
+    _branch_sum's domain rules.
+    """
     if not spec.is_antipodal():
         raise ValueError("spec must satisfy beta = -alpha and nu = -mu")
+    rho_a, rho_m = spec.alpha.rho, spec.mu.rho
+    _checked_scale(2.0 * (rho_a * rho_a + rho_m * rho_m))
+    ra2, rm2 = rho_a**2, rho_m**2
+    coupling = math.sin(spec.theta) * math.cos(spec.varphi) * math.exp(-2.0 * (ra2 + rm2))
+    nsq = _checked_norm(1.0 + coupling)
+    delta1 = _antipodal_delta(w1t, ra2, coupling, nsq)
+    delta2 = _antipodal_delta(w2t, rm2, coupling, nsq)
+    _checked_dynamical(delta1 + delta2)
+    return nsq, delta1, delta2
 
 
-def _antipodal_weights(spec: EntangledSpec) -> tuple[float, float]:
-    """(cross-term coupling, squared norm) of an antipodal spec.
-
-    coupling = sin(theta) cos(varphi) exp[-2 (rho_alpha^2 + rho_mu^2)]; the
-    squared norm is 1 + coupling and divides every collapsed closed form.
-    """
-    coupling = (
-        math.sin(spec.theta)
-        * math.cos(spec.varphi)
-        * math.exp(-2.0 * (spec.alpha.rho**2 + spec.mu.rho**2))
-    )
-    return coupling, _checked_norm(1.0 + coupling)
+def _antipodal_delta(wt: float, rho2: float, coupling: float, nsq: float) -> float:
+    return -(wt * (0.5 + rho2) + coupling * wt * (0.5 - rho2)) / nsq
 
 
 def antipodal_dynamical_parts(spec: EntangledSpec, modes: ModePair) -> tuple[float, float]:
     """Per-mode dynamical phases (delta_1, delta_2) of an antipodal spec.
 
-    delta_k = -[omega_k tau (1/2 + rho_k^2)
-               + coupling * omega_k tau (1/2 - rho_k^2)] / (1 + coupling)
-    with rho_1 = rho_alpha, rho_2 = rho_mu and the coupling of
-    _antipodal_weights.  Their sum equals pair_dynamical_phase on the same
-    spec.
+    delta_k = -omega_k tau [(1/2 + rho_k^2) + coupling (1/2 - rho_k^2)] / (1 + coupling)
+    with rho_1 = rho_alpha, rho_2 = rho_mu and
+    coupling = sin(theta) cos(varphi) exp[-2 (rho_alpha^2 + rho_mu^2)].
+    Their sum equals pair_dynamical_phase on the same spec.
     """
-    _require_antipodal(spec)
-    coupling, denom = _antipodal_weights(spec)
-    w1t = modes.omega1 * modes.tau
-    w2t = modes.omega2 * modes.tau
-    ra2 = spec.alpha.rho**2
-    rm2 = spec.mu.rho**2
-    delta1 = -(w1t * (0.5 + ra2) + coupling * w1t * (0.5 - ra2)) / denom
-    delta2 = -(w2t * (0.5 + rm2) + coupling * w2t * (0.5 - rm2)) / denom
+    _, delta1, delta2 = _antipodal_parts(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)
     return delta1, delta2
 
 
@@ -276,18 +293,17 @@ def antipodal_geometric_phase(spec: EntangledSpec, modes: ModePair) -> float:
     [same + sin(theta) cos(varphi) cross] / (1 + coupling), where same is the
     same-branch product overlap <alpha mu, 0|alpha mu, tau> and cross the
     cross-branch one <alpha mu, 0|-alpha -mu, tau>.  Second term: minus the
-    closed-form dynamical phase.  Agrees with pair_geometric_phase mod 2 pi.
+    dynamical phase delta_1 + delta_2.  Agrees with pair_geometric_phase mod 2 pi.
     """
-    delta1, delta2 = antipodal_dynamical_parts(spec, modes)  # checks that spec is antipodal
-    _, denom = _antipodal_weights(spec)
     w1t = modes.omega1 * modes.tau
     w2t = modes.omega2 * modes.tau
+    nsq, delta1, delta2 = _antipodal_parts(spec, w1t, w2t)
     a = spec.alpha.label
     m = spec.mu.label
     same = cmath.exp(_mode_exponent(a, a, w1t) + _mode_exponent(m, m, w2t))
     cross = cmath.exp(_mode_exponent(a, -a, w1t) + _mode_exponent(m, -m, w2t))
     sc = math.sin(spec.theta) * math.cos(spec.varphi)
-    return overlap_phase((same + sc * cross) / denom) - (delta1 + delta2)
+    return overlap_phase((same + sc * cross) / nsq) - (delta1 + delta2)
 
 
 def _checked_turns(name: str, value: int) -> int:
@@ -295,57 +311,41 @@ def _checked_turns(name: str, value: int) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must not exceed the float range")
     return value
 
 
-def _cyclic_mode_phase(turns: int, rho2: float, coupling: float, denom: float) -> float:
-    return -math.pi * turns + TWO_PI * (
-        turns * (0.5 + rho2) + coupling * turns * (0.5 - rho2)
-    ) / denom
-
-
-def cyclic_single_phase(spec: EntangledSpec, l1: int) -> float:
-    """Mode-1 geometric phase of an antipodal spec after l1 full cycles.
-
-    -pi l1 + 2 pi [l1 (1/2 + rho_alpha^2)
-                   + coupling * l1 (1/2 - rho_alpha^2)] / (1 + coupling)
-    """
-    _require_antipodal(spec)
-    l1 = _checked_turns("l1", l1)
-    coupling, denom = _antipodal_weights(spec)
-    return _cyclic_mode_phase(l1, spec.alpha.rho**2, coupling, denom)
-
-
 def cyclic_pair_parts(spec: EntangledSpec, l1: int, l2: int) -> tuple[float, float]:
-    """Per-mode cyclic geometric phases; mode 2 mirrors mode 1 with (l2, rho_mu)."""
-    _require_antipodal(spec)
+    """Per-mode geometric phases of an antipodal spec after (l1, l2) full mode cycles.
+
+    At omega_k tau = 2 pi l_k every label returns to itself, so mode k's
+    overlap contributes only its zero-point phase -pi l_k, and its geometric
+    phase is -pi l_k - delta_k with delta_k the dynamical part at
+    omega_k tau = 2 pi l_k (see antipodal_dynamical_parts).
+    """
     l1 = _checked_turns("l1", l1)
     l2 = _checked_turns("l2", l2)
-    coupling, denom = _antipodal_weights(spec)
-    return (
-        _cyclic_mode_phase(l1, spec.alpha.rho**2, coupling, denom),
-        _cyclic_mode_phase(l2, spec.mu.rho**2, coupling, denom),
-    )
+    _, delta1, delta2 = _antipodal_parts(spec, TWO_PI * l1, TWO_PI * l2)
+    return -math.pi * l1 - delta1, -math.pi * l2 - delta2
 
 
 def cyclic_pair_phase(spec: EntangledSpec, l1: int, l2: int) -> float:
     """Geometric phase of an antipodal spec after (l1, l2) full mode cycles.
 
-    -pi (l1 + l2) + 2 pi [l1 (1/2 + rho_alpha^2) + l2 (1/2 + rho_mu^2)
-    + coupling (l1 (1/2 - rho_alpha^2) + l2 (1/2 - rho_mu^2))] / (1 + coupling);
-    decomposes exactly into the sum of cyclic_pair_parts.
+    The sum of cyclic_pair_parts: -pi (l1 + l2) - delta_1 - delta_2 at
+    omega_k tau = 2 pi l_k.
     """
-    _require_antipodal(spec)
-    l1 = _checked_turns("l1", l1)
-    l2 = _checked_turns("l2", l2)
-    coupling, denom = _antipodal_weights(spec)
-    ra2 = spec.alpha.rho**2
-    rm2 = spec.mu.rho**2
-    return -math.pi * (l1 + l2) + TWO_PI * (
-        l1 * (0.5 + ra2)
-        + l2 * (0.5 + rm2)
-        + coupling * (l1 * (0.5 - ra2) + l2 * (0.5 - rm2))
-    ) / denom
+    part1, part2 = cyclic_pair_parts(spec, l1, l2)
+    return part1 + part2
+
+
+def cyclic_single_phase(spec: EntangledSpec, l1: int) -> float:
+    """Mode-1 geometric phase of an antipodal spec after l1 full cycles.
+
+    The first of cyclic_pair_parts: -pi l1 - delta_1 at omega1 tau = 2 pi l1.
+    """
+    return cyclic_pair_parts(spec, l1, 0)[0]
 
 
 def one_particle_geometric_phase(spec: EntangledSpec, omega1: float, tau: float) -> float:

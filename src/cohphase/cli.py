@@ -5,8 +5,9 @@ writes a CSV curve over one swept parameter; `verify` runs the randomized
 analytic-vs-oracle harness and exits nonzero on failure.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error
-(a non-finite or non-positive `verify --tolerance` included) or an oracle
-cutoff that cannot be met (TruncationError, CapacityError), 3 degenerate
+(a non-finite or non-positive `verify --tolerance`, and amplitudes or
+dynamical phases beyond the float range, included) or an oracle cutoff that
+cannot be met (TruncationError, CapacityError), 3 degenerate
 state, 4 undefined total phase (the normalized endpoint overlap is below
 1e-10, in `single` as in `pair`), 5 any other arithmetic failure
 (ArithmeticError).  Every error prints one `error:` line on stderr instead
@@ -169,25 +170,22 @@ def _pair_inputs(target: str, bind: dict[str, float]) -> tuple[EntangledSpec, Mo
 
 
 def _eval_pairlike(target: str, bind: dict[str, float]) -> PointResult:
+    # a one-particle row is the antipodal row at omega2 = 0 (see _pair_inputs)
     spec, modes = _pair_inputs(target, bind)
     try:
         overlap = analytic.pair_overlap(spec, modes)
         if target == "pair":
             delta = analytic.pair_dynamical_phase(spec, modes)
-        elif target == "antipodal":
-            delta = analytic.antipodal_dynamical_phase(spec, modes)
         else:
-            delta = analytic.one_particle_dynamical_phase(spec, modes.omega1, modes.tau)
+            delta = analytic.antipodal_dynamical_phase(spec, modes)
     except DegenerateStateError:
         return PointResult(None, None, None, None, note="degenerate state")
     try:
         chi = analytic.overlap_phase(overlap)
         if target == "pair":
             gamma = chi - delta
-        elif target == "antipodal":
-            gamma = analytic.antipodal_geometric_phase(spec, modes)
         else:
-            gamma = analytic.one_particle_geometric_phase(spec, modes.omega1, modes.tau)
+            gamma = analytic.antipodal_geometric_phase(spec, modes)
     except UndefinedTotalPhaseError:
         return PointResult(None, delta, None, abs(overlap), note=_UNDEFINED_NOTE)
     return PointResult(chi, delta, gamma, abs(overlap))

@@ -138,11 +138,11 @@ class EntangledSpec:
         """Build the special family with beta = -alpha and nu = -mu."""
         return cls(alpha, alpha.negated(), mu, mu.negated(), theta, varphi)
 
-    def is_antipodal(self, tol: float = 1e-12) -> bool:
-        """True when beta = -alpha and nu = -mu (as complex labels, within tol)."""
+    def is_antipodal(self) -> bool:
+        """True when beta = -alpha and nu = -mu as complex labels, within a relative 1e-12."""
         return (
-            abs(self.beta.label + self.alpha.label) <= tol * (1.0 + self.alpha.rho)
-            and abs(self.nu.label + self.mu.label) <= tol * (1.0 + self.mu.rho)
+            abs(self.beta.label + self.alpha.label) <= 1e-12 * (1.0 + self.alpha.rho)
+            and abs(self.nu.label + self.mu.label) <= 1e-12 * (1.0 + self.mu.rho)
         )
 
 

@@ -4,10 +4,12 @@ States are dense complex coefficient vectors over number states |n> (one
 mode) or a rectangular grid |n1, n2> (two modes).  Evolution is exact and
 diagonal, so the total, dynamical, and geometric phases can be computed
 straight from their definitions: the argument of the endpoint overlap, the
-conserved-energy value -<H> tau, and their difference.  The dynamical phase
-also has a kinematic form that reads only the states along a sampled path,
-the discrete connection sum of arg <psi_k|psi_{k+1}>.  Nothing here uses any
-closed-form expression from the analytic module.
+conserved-energy value -<H> tau, and their difference.  oracle_phases is the
+one path that evolves a state and forms all three; oracle_geometric_phase
+reads its geometric phase.  The dynamical phase also has a kinematic form
+that reads only the states along a sampled path, the discrete connection sum
+of arg <psi_k|psi_{k+1}>.  Nothing here uses any closed-form expression from
+the analytic module.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .core import (
     CoherentParam,
     DegenerateStateError,
     EntangledSpec,
+    PhaseTriple,
     TruncationError,
     UndefinedTotalPhaseError,
     _checked_finite,
@@ -47,6 +50,7 @@ __all__ = [
     "oracle_total_phase",
     "quadrature_dynamical_phase",
     "oracle_dynamical_phase",
+    "oracle_phases",
     "oracle_geometric_phase",
 ]
 
@@ -119,20 +123,17 @@ def poisson_tail(mean: float, cutoff: int) -> float:
     return float(special.gammainc(cutoff + 1, mean))
 
 
-def fock_cutoff(
-    rho: float,
-    tail_bound: float,
-    *,
-    floor: int = FOCK_FLOOR,
-    cap: int = FOCK_CAP,
-) -> int:
-    """Smallest cutoff whose Poisson(rho^2) tail mass stays below tail_bound."""
+def fock_cutoff(rho: float, tail_bound: float) -> int:
+    """Smallest cutoff whose Poisson(rho^2) tail mass stays below tail_bound.
+
+    The search starts at FOCK_FLOOR and raises CapacityError past FOCK_CAP.
+    """
     mean = rho * rho
-    n = max(floor, math.ceil(mean))
+    n = max(FOCK_FLOOR, math.ceil(mean))
     while poisson_tail(mean, n) >= tail_bound:
-        if n >= cap:
+        if n >= FOCK_CAP:
             raise CapacityError(
-                f"amplitude rho={rho} needs a Fock cutoff above the cap {cap}"
+                f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}"
             )
         n += 1
     return n
@@ -304,19 +305,29 @@ def oracle_dynamical_phase(
     return -mean_energy(_subject_state(subject, config), omegas) * tau
 
 
+def oracle_phases(
+    subject: Subject,
+    omegas: OmegaLike,
+    tau: float,
+    config: OracleConfig | None = None,
+) -> PhaseTriple:
+    """Total arg <psi(0)|psi(tau)>, dynamical -<H> tau and geometric phase (their difference).
+
+    The geometric phase is a principal value shifted by an unbounded real, so
+    comparisons against closed forms go through circle_distance.
+    """
+    tau = _checked_tau(tau)
+    state = _subject_state(subject, config)
+    total = oracle_total_phase(state, evolve(state, omegas, tau))
+    dynamical = oracle_dynamical_phase(state, omegas, tau)
+    return PhaseTriple(total, dynamical, total - dynamical)
+
+
 def oracle_geometric_phase(
     subject: Subject,
     omegas: OmegaLike,
     tau: float,
     config: OracleConfig | None = None,
 ) -> float:
-    """Geometric phase from the definitions: arg of overlap minus -<H> tau.
-
-    The result is a principal value shifted by an unbounded real, so
-    comparisons against closed forms go through circle_distance.
-    """
-    tau = _checked_tau(tau)
-    state = _subject_state(subject, config)
-    final = evolve(state, omegas, tau)
-    total = oracle_total_phase(state, final)
-    return total - oracle_dynamical_phase(state, omegas, tau)
+    """Geometric phase from the definitions (see oracle_phases)."""
+    return oracle_phases(subject, omegas, tau, config).geometric

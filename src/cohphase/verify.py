@@ -158,18 +158,6 @@ def _draw_case(rng: np.random.Generator) -> _Case:
         )
 
 
-def _oracle_triple(
-    state: oracle.TruncatedState,
-    omegas: tuple[float, ...],
-    tau: float,
-) -> tuple[float, float, float]:
-    """(total, dynamical, geometric) straight from the definitions."""
-    final = oracle.evolve(state, omegas, tau)
-    total = oracle.oracle_total_phase(state, final)
-    dynamical = oracle.oracle_dynamical_phase(state, omegas, tau)
-    return total, dynamical, total - dynamical
-
-
 def _evaluate_case(case: _Case, config: oracle.OracleConfig, results: dict[str, FamilyResult]) -> None:
     binding = case.binding()
     spec, anti, modes = case.spec, case.anti, case.modes
@@ -177,34 +165,32 @@ def _evaluate_case(case: _Case, config: oracle.OracleConfig, results: dict[str, 
     tau = modes.tau
 
     triple = analytic.single_phases(spec.alpha, modes.omega1, tau)
-    single_state = oracle.build_coherent(spec.alpha, config)
-    o_total, o_dyn, o_geo = _oracle_triple(single_state, (modes.omega1,), tau)
-    results["single_total"].record(circle_distance(triple.total, o_total), binding)
-    results["single_dynamical"].record(circle_distance(triple.dynamical, o_dyn), binding)
-    results["single_geometric"].record(circle_distance(triple.geometric, o_geo), binding)
+    sim = oracle.oracle_phases(spec.alpha, modes.omega1, tau, config)
+    results["single_total"].record(circle_distance(triple.total, sim.total), binding)
+    results["single_dynamical"].record(circle_distance(triple.dynamical, sim.dynamical), binding)
+    results["single_geometric"].record(circle_distance(triple.geometric, sim.geometric), binding)
 
-    pair_state = oracle.build_entangled(spec, config)
-    o_total, o_dyn, o_geo = _oracle_triple(pair_state, omegas, tau)
+    sim = oracle.oracle_phases(spec, omegas, tau, config)
     results["pair_total"].record(
-        circle_distance(analytic.pair_total_phase(spec, modes), o_total), binding
+        circle_distance(analytic.pair_total_phase(spec, modes), sim.total), binding
     )
     results["pair_dynamical"].record(
-        circle_distance(analytic.pair_dynamical_phase(spec, modes), o_dyn), binding
+        circle_distance(analytic.pair_dynamical_phase(spec, modes), sim.dynamical), binding
     )
     results["pair_geometric"].record(
-        circle_distance(analytic.pair_geometric_phase(spec, modes), o_geo), binding
+        circle_distance(analytic.pair_geometric_phase(spec, modes), sim.geometric), binding
     )
 
     anti_state = oracle.build_entangled(anti, config)
-    o_total, o_dyn, o_geo = _oracle_triple(anti_state, omegas, tau)
+    sim = oracle.oracle_phases(anti_state, omegas, tau)
     results["antipodal_geometric"].record(
-        circle_distance(analytic.antipodal_geometric_phase(anti, modes), o_geo), binding
+        circle_distance(analytic.antipodal_geometric_phase(anti, modes), sim.geometric), binding
     )
     results["antipodal_dynamical"].record(
-        circle_distance(analytic.antipodal_dynamical_phase(anti, modes), o_dyn), binding
+        circle_distance(analytic.antipodal_dynamical_phase(anti, modes), sim.dynamical), binding
     )
 
-    _, _, o_geo = _oracle_triple(anti_state, (modes.omega1, 0.0), tau)
+    o_geo = oracle.oracle_geometric_phase(anti_state, (modes.omega1, 0.0), tau)
     results["one_particle_geometric"].record(
         circle_distance(analytic.one_particle_geometric_phase(anti, modes.omega1, tau), o_geo),
         binding,
@@ -213,12 +199,12 @@ def _evaluate_case(case: _Case, config: oracle.OracleConfig, results: dict[str, 
     w1 = case.cyclic_omega1
     cycle_tau = TWO_PI * case.turns1 / w1
     w2 = case.turns2 * w1 / case.turns1
-    _, _, o_geo = _oracle_triple(anti_state, (w1, w2), cycle_tau)
+    o_geo = oracle.oracle_geometric_phase(anti_state, (w1, w2), cycle_tau)
     results["cyclic_pair"].record(
         circle_distance(analytic.cyclic_pair_phase(anti, case.turns1, case.turns2), o_geo),
         binding,
     )
-    _, _, o_geo = _oracle_triple(anti_state, (w1, 0.0), cycle_tau)
+    o_geo = oracle.oracle_geometric_phase(anti_state, (w1, 0.0), cycle_tau)
     results["cyclic_one_particle"].record(
         circle_distance(analytic.cyclic_single_phase(anti, case.turns1), o_geo), binding
     )

@@ -30,6 +30,7 @@ from cohphase import (
     unequal_time_overlap,
     wrap_principal,
 )
+from cohphase import analytic
 
 PI = math.pi
 
@@ -473,3 +474,89 @@ class TestNearParallelLargeAmplitudes:
         )
         expected = 1.0 + math.sin(spec.theta) * (cmath.exp(1j * spec.varphi) * cross).real
         assert norm_squared(spec) == pytest.approx(expected, rel=1e-12)
+
+
+class TestDomainEdge:
+    """Past the float range a closed form raises ValueError: no NaN, inf or OverflowError."""
+
+    @staticmethod
+    def specs(rho):
+        general = EntangledSpec(
+            CoherentParam(rho), CoherentParam(rho, 0.1), CoherentParam(1.0), CoherentParam(1.0),
+            1.0, 0.3,
+        )
+        anti = EntangledSpec.antipodal(CoherentParam(rho, 0.2), CoherentParam(1.0), 1.0, 0.3)
+        return general, anti
+
+    @staticmethod
+    def closed_forms(general, anti, modes):
+        """Closed forms of analytic.__all__, bar single_phases and overlap_phase, each on one input."""
+        w1, tau = modes.omega1, modes.tau
+        alpha, beta = general.alpha, general.beta
+        forms = {
+            "norm_squared": lambda: analytic.norm_squared(general),
+            "pair_overlap": lambda: analytic.pair_overlap(general, modes),
+            "pair_total_phase": lambda: analytic.pair_total_phase(general, modes),
+            "pair_dynamical_phase": lambda: analytic.pair_dynamical_phase(general, modes),
+            "pair_geometric_phase": lambda: analytic.pair_geometric_phase(general, modes),
+            "antipodal_geometric_phase": lambda: analytic.antipodal_geometric_phase(anti, modes),
+            "antipodal_dynamical_phase": lambda: analytic.antipodal_dynamical_phase(anti, modes),
+            "antipodal_dynamical_parts": lambda: analytic.antipodal_dynamical_parts(anti, modes),
+            "cyclic_pair_phase": lambda: analytic.cyclic_pair_phase(anti, 1, 1),
+            "cyclic_pair_parts": lambda: analytic.cyclic_pair_parts(anti, 1, 1),
+            "cyclic_single_phase": lambda: analytic.cyclic_single_phase(anti, 1),
+            "one_particle_geometric_phase":
+                lambda: analytic.one_particle_geometric_phase(anti, w1, tau),
+            "one_particle_dynamical_phase":
+                lambda: analytic.one_particle_dynamical_phase(anti, w1, tau),
+            "unequal_time_overlap": lambda: analytic.unequal_time_overlap(alpha, beta, w1, tau),
+            "single_overlap": lambda: analytic.single_overlap(alpha, w1, tau),
+        }
+        assert set(forms) | {"single_phases", "overlap_phase"} == set(analytic.__all__)
+        return forms
+
+    @pytest.mark.parametrize("rho", [1.3e154, 1e160])
+    def test_squared_amplitudes_past_float_range(self, rho):
+        general, anti = self.specs(rho)
+        for name, form in self.closed_forms(general, anti, ModePair(1.0, 1.0, 1.0)).items():
+            if name in ("single_overlap", "unequal_time_overlap") and rho * rho < math.inf:
+                # one mode at a time: |bra|^2 and |ket|^2 still fit, the overlap underflows to 0
+                assert form() == 0.0
+                continue
+            with pytest.raises(ValueError, match="amplitudes too large"):
+                form()
+
+    def test_single_phases_at_the_edge(self):
+        # one label's rho^2 still fits at 1.3e154, so the single-mode phases exist there
+        triple = single_phases(CoherentParam(1.3e154), 1.0, 1.0)
+        assert triple.dynamical == -(0.5 + 1.3e154**2)
+        with pytest.raises(ValueError):
+            single_phases(CoherentParam(1e160), 1.0, 1.0)
+
+    def test_dynamical_phase_past_float_range(self):
+        # rho^2 = 1e300 fits, omega tau rho^2 = 1e310 does not
+        general, anti = self.specs(1e150)
+        forms = self.closed_forms(general, anti, ModePair(1.0, 1.0, 1e10))
+        for name in ("pair_dynamical_phase", "pair_geometric_phase", "antipodal_dynamical_phase",
+                     "antipodal_geometric_phase", "one_particle_dynamical_phase"):
+            with pytest.raises(ValueError, match="dynamical phase beyond the float range"):
+                forms[name]()
+        with pytest.raises(ValueError, match="dynamical phase beyond the float range"):
+            analytic.cyclic_pair_phase(anti, 10**10, 0)
+        with pytest.raises(ValueError, match="float range"):
+            analytic.cyclic_pair_phase(anti, 10**400, 0)
+
+    def test_largest_amplitudes_keep_their_phases(self):
+        # at rho = 1e150 every overlap underflows: no total phase, but a finite dynamical one
+        general, anti = self.specs(1e150)
+        modes = ModePair(1.0, 1.0, 1.0)
+        forms = self.closed_forms(general, anti, modes)
+        for name in ("pair_total_phase", "pair_geometric_phase", "antipodal_geometric_phase",
+                     "one_particle_geometric_phase"):
+            with pytest.raises(UndefinedTotalPhaseError):
+                forms[name]()
+        for name in ("pair_dynamical_phase", "antipodal_dynamical_phase", "cyclic_pair_phase"):
+            assert math.isfinite(forms[name]())
+        assert forms["antipodal_dynamical_phase"]() == pytest.approx(
+            analytic.pair_dynamical_phase(anti, modes), rel=1e-12
+        )

@@ -105,7 +105,25 @@ class TestAntipodalGeometricPhase:
         assert circle_distance(oracle_gamma, GOLDEN_ANTIPODAL_GAMMA) < 1e-10
         assert circle_distance(antipodal_geometric_phase(spec, modes), GOLDEN_ANTIPODAL_GAMMA) < 1e-10
 
-    def test_rejects_non_antipodal(self):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda spec: antipodal_geometric_phase(spec, ModePair(1.0, 1.0, 1.0)),
+                         id="antipodal_geometric_phase"),
+            pytest.param(lambda spec: antipodal_dynamical_phase(spec, ModePair(1.0, 1.0, 1.0)),
+                         id="antipodal_dynamical_phase"),
+            pytest.param(lambda spec: antipodal_dynamical_parts(spec, ModePair(1.0, 1.0, 1.0)),
+                         id="antipodal_dynamical_parts"),
+            pytest.param(lambda spec: cyclic_pair_phase(spec, 1, 1), id="cyclic_pair_phase"),
+            pytest.param(lambda spec: cyclic_pair_parts(spec, 1, 1), id="cyclic_pair_parts"),
+            pytest.param(lambda spec: cyclic_single_phase(spec, 1), id="cyclic_single_phase"),
+            pytest.param(lambda spec: one_particle_geometric_phase(spec, 1.0, 1.0),
+                         id="one_particle_geometric_phase"),
+            pytest.param(lambda spec: one_particle_dynamical_phase(spec, 1.0, 1.0),
+                         id="one_particle_dynamical_phase"),
+        ],
+    )
+    def test_rejects_non_antipodal(self, call):
         spec = EntangledSpec(
             CoherentParam(1.0, 0.0),
             CoherentParam(1.0, 0.3),
@@ -114,8 +132,8 @@ class TestAntipodalGeometricPhase:
             1.0,
             0.0,
         )
-        with pytest.raises(ValueError):
-            antipodal_geometric_phase(spec, ModePair(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="beta = -alpha"):
+            call(spec)
 
     def test_degenerate_raises(self):
         spec = EntangledSpec.antipodal(CoherentParam(0.0), CoherentParam(0.0), PI / 2.0, PI)
@@ -147,6 +165,16 @@ class TestCyclicPairPhase:
                     assert cyclic_pair_phase(spec, l1, l2) == pytest.approx(
                         part1 + part2, abs=1e-12
                     )
+
+    def test_parts_are_cycle_end_geometric_phases(self):
+        # part k: zero-point total phase -pi l_k minus the dynamical part at omega_k tau = 2 pi l_k
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            spec = random_antipodal(rng)
+            for l1 in range(1, 5):
+                for l2 in range(5):
+                    d1, d2 = antipodal_dynamical_parts(spec, ModePair(l1, l2, 2.0 * PI))
+                    assert cyclic_pair_parts(spec, l1, l2) == (-PI * l1 - d1, -PI * l2 - d2)
 
     def test_part1_is_cyclic_single(self):
         spec = EntangledSpec.antipodal(CoherentParam(0.9, 0.2), CoherentParam(0.7, 1.4), 1.2, 0.8)

@@ -166,6 +166,28 @@ class TestPairCommand:
         assert out == ""
         assert err == "error: OverflowError: math range error\n"
 
+    @pytest.mark.parametrize("rho", ["1.3e154", "1e160"])
+    def test_amplitude_past_float_range_is_usage_error(self, capsys, rho):
+        code, out, err = run_cli(
+            capsys,
+            ["pair", "--rho-alpha", rho, "--rho-beta", rho, "--phi-beta", "0.1", "--rho-mu", "1",
+             "--rho-nu", "1", "--theta", "1", "--varphi", "0.3", "--omega1", "1", "--omega2", "1",
+             "--tau", "1"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: label amplitudes too large: their squares sum beyond the float range\n"
+
+    def test_dynamical_phase_past_float_range_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["pair", "--rho-alpha", "1e150", "--rho-beta", "1e150", "--phi-beta", "0.1",
+             "--omega1", "1", "--omega2", "1", "--tau", "1e10"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: dynamical phase beyond the float range: omega tau rho^2 overflows\n"
+
 
 class TestSweepCommand:
     def test_single_tau_grid(self, capsys, tmp_path):
@@ -365,6 +387,31 @@ class TestSweepCommand:
         for line in lines:
             fields = [float(x) for x in line.split(",")]
             assert fields[3] == pytest.approx(fields[1] - fields[2], abs=1e-10)
+
+    def test_one_particle_is_antipodal_at_zero_omega2(self, capsys, tmp_path):
+        common = ["--swept", "tau", "--start", "0", "--end", "12.566370614359172", "--steps", "41",
+                  "--rho-alpha", "1.2", "--phi-alpha", "0.3", "--rho-mu", "0.8", "--phi-mu", "1.4",
+                  "--theta", "1.3", "--varphi", "0.6", "--omega1", "1.5"]
+        one, anti = tmp_path / "one.csv", tmp_path / "anti.csv"
+        code, _, _ = run_cli(capsys, ["sweep", "--target", "one-particle", *common, "--output", str(one)])
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, ["sweep", "--target", "antipodal", *common, "--omega2", "0", "--output", str(anti)]
+        )
+        assert code == 0
+        assert one.read_bytes() == anti.read_bytes()
+
+    @pytest.mark.parametrize("target", ["antipodal", "one-particle"])
+    @pytest.mark.parametrize("rho", ["1.3e154", "1e160"])
+    def test_amplitude_past_float_range_is_usage_error(self, capsys, tmp_path, target, rho):
+        code, _, err = run_cli(
+            capsys,
+            ["sweep", "--target", target, "--swept", "tau", "--start", "0", "--end", "1",
+             "--steps", "3", "--rho-alpha", rho, "--rho-mu", "1", "--omega1", "1", "--omega2", "1",
+             "--output", str(tmp_path / "edge.csv")],
+        )
+        assert code == 2
+        assert err == "error: label amplitudes too large: their squares sum beyond the float range\n"
 
 
 class TestVerifyCommand:

@@ -26,6 +26,7 @@ from cohphase import (
     norm_squared,
     oracle_dynamical_phase,
     oracle_geometric_phase,
+    oracle_phases,
     oracle_total_phase,
     poisson_tail,
     quadrature_dynamical_phase,
@@ -279,6 +280,42 @@ class TestOracleGeometricPhase:
         base = mean_energy(state, omegas)
         for tau in (0.5, 2.0, 7.7):
             assert mean_energy(evolve(state, omegas, tau), omegas) == pytest.approx(base, rel=1e-13)
+
+
+class TestOraclePhases:
+    @pytest.mark.parametrize(
+        "subject, omegas",
+        [
+            (CoherentParam(1.1, 0.4), 1.3),
+            (
+                EntangledSpec.antipodal(CoherentParam(1.0, 0.7), CoherentParam(0.8, 1.9), 1.2, 0.5),
+                (1.1, 0.7),
+            ),
+            (
+                EntangledSpec(
+                    CoherentParam(0.9, 0.2), CoherentParam(0.6, 2.5),
+                    CoherentParam(0.7, -0.4), CoherentParam(1.1, 1.9), 1.1, 0.8,
+                ),
+                (1.0, 0.0),
+            ),
+        ],
+    )
+    def test_triple_matches_single_quantity_functions(self, subject, omegas):
+        tau = 1.9
+        if isinstance(subject, EntangledSpec):
+            state = build_entangled(subject)
+        else:
+            state = build_coherent(subject)
+        triple = oracle_phases(state, omegas, tau)
+        assert triple.geometric == oracle_geometric_phase(state, omegas, tau)
+        assert triple.total == oracle_total_phase(state, evolve(state, omegas, tau))
+        assert triple.dynamical == oracle_dynamical_phase(state, omegas, tau)
+        assert triple.geometric == triple.total - triple.dynamical
+        assert oracle_phases(subject, omegas, tau) == triple
+
+    def test_rejects_negative_time(self):
+        with pytest.raises(ValueError):
+            oracle_phases(CoherentParam(1.0), 1.0, -1.0)
 
 
 class TestQuadrature:
