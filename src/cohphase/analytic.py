@@ -28,16 +28,15 @@ import math
 import sys
 
 from .core import (
-    DEFAULT_NORM_EPS,
-    DEFAULT_OVERLAP_EPS,
     TWO_PI,
     CoherentParam,
-    DegenerateStateError,
     EntangledSpec,
     ModePair,
     PhaseTriple,
-    UndefinedTotalPhaseError,
     _checked_finite,
+    _checked_nonnegative,
+    _checked_norm_squared,
+    _defined_phase,
 )
 
 __all__ = [
@@ -63,12 +62,9 @@ __all__ = [
 
 def _check_single_mode(omega: float, tau: float) -> tuple[float, float]:
     omega = _checked_finite("omega", omega)
-    tau = _checked_finite("tau", tau)
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    return omega, tau
+    return omega, _checked_nonnegative("tau", tau)
 
 
 def _abs2(label: complex) -> float:
@@ -132,12 +128,8 @@ def unequal_time_overlap(bra: CoherentParam, ket: CoherentParam, omega: float, t
     omega = 0, since it also serves as the second-mode factor of the
     two-branch overlap where the potential may be switched off.
     """
-    omega = _checked_finite("omega", omega)
-    tau = _checked_finite("tau", tau)
-    if omega < 0.0:
-        raise ValueError(f"omega must be nonnegative, got {omega}")
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    omega = _checked_nonnegative("omega", omega)
+    tau = _checked_nonnegative("tau", tau)
     return cmath.exp(_mode_exponent(bra.label, ket.label, omega * tau))
 
 
@@ -146,21 +138,10 @@ def overlap_phase(overlap: complex) -> float:
 
     The phase is undefined, and UndefinedTotalPhaseError is raised, when
     |overlap| < DEFAULT_OVERLAP_EPS; the oracle's oracle_total_phase applies
-    the same rule.  The two-argument arctangent keeps the quadrant.
+    the same rule, from the same helper in core.  The two-argument
+    arctangent keeps the quadrant.
     """
-    if abs(overlap) < DEFAULT_OVERLAP_EPS:
-        raise UndefinedTotalPhaseError(
-            "initial and final states are numerically orthogonal; total phase undefined"
-        )
-    return math.atan2(overlap.imag, overlap.real)
-
-
-def _checked_norm(value: float) -> float:
-    if value <= DEFAULT_NORM_EPS:
-        raise DegenerateStateError(
-            f"branches cancel destructively: squared norm {value:.3e} <= {DEFAULT_NORM_EPS:.1e}"
-        )
-    return value
+    return _defined_phase(overlap)
 
 
 def _checked_dynamical(value: float) -> float:
@@ -204,7 +185,7 @@ def _branch_sum(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float, com
             nsq += same_time
             energy += same_time * (w1t * (0.5 + ab) + w2t * (0.5 + mn))
             overlap += weights[i][j] * cmath.exp((ab * turn1 - damp1) + (mn * turn2 - damp2) - zero_point)
-    nsq = _checked_norm(nsq.real)
+    nsq = _checked_norm_squared(nsq.real)
     return nsq, overlap / nsq, _checked_dynamical(energy.real / nsq)
 
 
@@ -257,7 +238,7 @@ def _antipodal_parts(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float
     _checked_scale(2.0 * (rho_a * rho_a + rho_m * rho_m))
     ra2, rm2 = rho_a**2, rho_m**2
     coupling = math.sin(spec.theta) * math.cos(spec.varphi) * math.exp(-2.0 * (ra2 + rm2))
-    nsq = _checked_norm(1.0 + coupling)
+    nsq = _checked_norm_squared(1.0 + coupling)
     delta1 = _antipodal_delta(w1t, ra2, coupling, nsq)
     delta2 = _antipodal_delta(w2t, rm2, coupling, nsq)
     _checked_dynamical(delta1 + delta2)

@@ -1,13 +1,15 @@
 """Command-line front end: point evaluations, CSV parameter sweeps, verification.
 
-Commands: `single` and `pair` print one labelled value per line; `sweep`
-writes a CSV curve over one swept parameter; `verify` runs the randomized
-analytic-vs-oracle harness and exits nonzero on failure.
+Commands: `single` and `pair` print one labelled value per line, computed
+by evaluate_point as the matching `sweep` row is; `sweep` writes a CSV curve
+over one swept parameter; `verify` runs the randomized analytic-vs-oracle
+harness and exits nonzero on failure.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error
-(a non-finite or non-positive `verify --tolerance`, and amplitudes or
-dynamical phases beyond the float range, included) or an oracle cutoff that
-cannot be met (TruncationError, CapacityError), 3 degenerate
+(a non-finite or non-positive `verify --tolerance`, `sweep --steps` above
+MAX_SWEEP_STEPS, and amplitudes or dynamical phases beyond the float range,
+included) or an oracle cutoff that cannot be met (TruncationError,
+CapacityError, `verify --n-max` above FOCK_CAP included), 3 degenerate
 state, 4 undefined total phase (the normalized endpoint overlap is below
 1e-10, in `single` as in `pair`), 5 any other arithmetic failure
 (ArithmeticError).  Every error prints one `error:` line on stderr instead
@@ -67,17 +69,16 @@ _TARGET_PARAMS: dict[str, dict[str, float | None]] = {
     },
 }
 
-_ALLOWED_SWEPT: dict[str, tuple[str, ...]] = {
-    "single": ("tau", "rho_alpha"),
-    "pair": SWEPT_NAMES,
-    "antipodal": SWEPT_NAMES,
-    "one-particle": SWEPT_NAMES,
+#: Per target, each parameter it can sweep -> the binding the swept value sets.
+_SWEPT_BINDING: dict[str, dict[str, str]] = {
+    "single": {"tau": "tau", "rho_alpha": "rho"},
+    **{target: {name: name for name in SWEPT_NAMES} for target in TARGETS if target != "single"},
 }
 
-#: Sweep-parameter name -> binding name, where they differ.
-_SWEPT_ALIAS = {"single": {"rho_alpha": "rho"}}
+#: Upper bound on sweep rows: every row is held in memory until the CSV is written.
+MAX_SWEEP_STEPS = 1_000_000
 
-#: Sweep warning, and `single`'s error, where the endpoint overlap vanishes.
+#: Sweep warning, and the error of `single` and `pair`, where the endpoint overlap vanishes.
 _UNDEFINED_NOTE = "total phase undefined"
 
 
@@ -104,9 +105,7 @@ class SweepRequest:
     unwrap: bool = False
 
     def __post_init__(self) -> None:
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}")
-        if self.swept not in _ALLOWED_SWEPT[self.target]:
+        if self.swept not in _SWEPT_BINDING[self.target]:
             raise ValueError(f"target {self.target!r} cannot sweep {self.swept!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.end)):
             raise ValueError("sweep range must be finite")
@@ -114,6 +113,8 @@ class SweepRequest:
             raise ValueError(f"start {self.start} must not exceed end {self.end}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if self.steps > MAX_SWEEP_STEPS:
+            raise ValueError(f"steps must not exceed {MAX_SWEEP_STEPS}, got {self.steps}")
         if self.swept in ("tau", "rho_alpha", "rho_mu") and self.start < 0.0:
             raise ValueError(f"{self.swept} sweep must start at >= 0")
         if self.swept == "theta" and not (0.0 <= self.start and self.end <= math.pi):
@@ -123,7 +124,7 @@ class SweepRequest:
         return np.linspace(self.start, self.end, self.steps)
 
     def binding_name(self) -> str:
-        return _SWEPT_ALIAS.get(self.target, {}).get(self.swept, self.swept)
+        return _SWEPT_BINDING[self.target][self.swept]
 
 
 @dataclass(frozen=True)
@@ -254,9 +255,8 @@ def _resolve_bindings(target: str, swept: str | None, args: argparse.Namespace) 
     line; required parameters without defaults must be.
     """
     params = _TARGET_PARAMS[target]
-    swept_binding = None
-    if swept is not None:
-        swept_binding = _SWEPT_ALIAS.get(target, {}).get(swept, swept)
+    # a name the target cannot sweep binds nothing here; SweepRequest rejects it
+    swept_binding = _SWEPT_BINDING[target].get(swept)
     bound: dict[str, float] = {}
     for name, default in params.items():
         flag = "--" + name.replace("_", "-")
@@ -273,41 +273,40 @@ def _resolve_bindings(target: str, swept: str | None, args: argparse.Namespace) 
     return bound
 
 
-def cmd_single(args: argparse.Namespace) -> int:
-    bind = _resolve_bindings("single", None, args)
-    point = _eval_single(bind)
+def _defined_point(target: str, bind: dict[str, float]) -> PointResult:
+    """The sweep row of one point; a point command fails where the row is left empty."""
+    point = evaluate_point(target, bind)
     if point.note is not None:
         raise UndefinedTotalPhaseError(point.note)
-    _print_table(
-        [
-            ("chi", point.chi),
-            ("delta", point.delta),
-            ("gamma", point.gamma),
-            ("gamma_mod_2pi", wrap_principal(point.gamma)),
-            ("overlap_abs", point.overlap_abs),
-        ]
-    )
+    return point
+
+
+def _phase_lines(point: PointResult) -> list[tuple[str, float]]:
+    return [
+        ("chi", point.chi),
+        ("delta", point.delta),
+        ("gamma", point.gamma),
+        ("gamma_mod_2pi", wrap_principal(point.gamma)),
+    ]
+
+
+def cmd_single(args: argparse.Namespace) -> int:
+    point = _defined_point("single", _resolve_bindings("single", None, args))
+    _print_table(_phase_lines(point) + [("overlap_abs", point.overlap_abs)])
     return EXIT_OK
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
     bind = _resolve_bindings("pair", None, args)
     spec, modes = _pair_inputs("pair", bind)
+    # before the row, so that a degenerate state exits 3 with its squared norm in the message
     nsq = analytic.norm_squared(spec)
-    chi = analytic.pair_total_phase(spec, modes)
-    delta = analytic.pair_dynamical_phase(spec, modes)
-    gamma = chi - delta
-    table = [
-        ("n_squared", nsq),
-        ("chi", chi),
-        ("delta", delta),
-        ("gamma", gamma),
-        ("gamma_mod_2pi", wrap_principal(gamma)),
-    ]
+    point = _defined_point("pair", bind)
+    table = [("n_squared", nsq)] + _phase_lines(point)
     if spec.is_antipodal():
         anti = analytic.antipodal_geometric_phase(spec, modes)
         table.append(("antipodal_gamma", anti))
-        table.append(("antipodal_circle_distance", abs(wrap_principal(gamma - anti))))
+        table.append(("antipodal_circle_distance", abs(wrap_principal(point.gamma - anti))))
     _print_table(table)
     return EXIT_OK
 
@@ -359,12 +358,8 @@ def _add_binding_flags(parser: argparse.ArgumentParser, names: tuple[str, ...]) 
         )
 
 
-_PAIR_FLAGS = (
-    "rho_alpha", "phi_alpha", "rho_beta", "phi_beta",
-    "rho_mu", "phi_mu", "rho_nu", "phi_nu",
-    "theta", "varphi", "omega1", "omega2", "tau",
-)
-_SINGLE_FLAGS = ("rho", "phi", "omega", "tau")
+_PAIR_FLAGS = tuple(_TARGET_PARAMS["pair"])
+_SINGLE_FLAGS = tuple(_TARGET_PARAMS["single"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,6 +4,12 @@ Conventions used across the package: hbar = 1, so a mode of angular frequency
 omega advances number state |n> by exp(-i omega (n + 1/2) t); all angles are
 radians; principal values live in the half-open interval (-pi, pi], matching
 the two-argument arctangent.
+
+The domain rules that the closed forms and the oracle share live here once:
+_checked_norm_squared (a two-branch state cannot be normalized at or below
+DEFAULT_NORM_EPS), _defined_phase (no total phase where the normalized
+endpoint overlap is below DEFAULT_OVERLAP_EPS) and _checked_nonnegative
+(times, frequencies and amplitudes are finite and nonnegative).
 """
 
 from __future__ import annotations
@@ -12,6 +18,24 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+__all__ = [
+    "TWO_PI",
+    "DEFAULT_NORM_EPS",
+    "DEFAULT_OVERLAP_EPS",
+    "CoherentPhaseError",
+    "DegenerateStateError",
+    "UndefinedTotalPhaseError",
+    "TruncationError",
+    "CapacityError",
+    "CoherentParam",
+    "ModePair",
+    "EntangledSpec",
+    "PhaseTriple",
+    "wrap_principal",
+    "circle_distance",
+    "unwrap_sequence",
+]
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,6 +73,39 @@ def _checked_finite(name: str, value: float) -> float:
     return value
 
 
+def _checked_nonnegative(name: str, value: float) -> float:
+    value = float(value)
+    # one comparison on the hot path; NaN and the infinities fail it too
+    if not 0.0 <= value < math.inf:
+        _checked_finite(name, value)
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
+def _checked_norm_squared(value: float) -> float:
+    """A squared norm N^2; at or below DEFAULT_NORM_EPS the branches cancel (DegenerateStateError)."""
+    if value <= DEFAULT_NORM_EPS:
+        raise DegenerateStateError(
+            f"branches cancel destructively: squared norm {value:.3e} <= {DEFAULT_NORM_EPS:.1e}"
+        )
+    return value
+
+
+def _defined_phase(overlap: complex) -> float:
+    """Principal argument of a normalized endpoint overlap.
+
+    Below DEFAULT_OVERLAP_EPS the states are numerically orthogonal and
+    UndefinedTotalPhaseError is raised.  The two-argument arctangent keeps
+    the quadrant.
+    """
+    magnitude = abs(overlap)
+    if magnitude < DEFAULT_OVERLAP_EPS:
+        raise UndefinedTotalPhaseError(
+            f"overlap magnitude {magnitude:.3e} below {DEFAULT_OVERLAP_EPS:.1e}; total phase undefined"
+        )
+    return math.atan2(overlap.imag, overlap.real)
+
+
 @dataclass(frozen=True)
 class CoherentParam:
     """Polar label of a coherent state: amplitude rho >= 0, phase phi in radians."""
@@ -57,10 +114,8 @@ class CoherentParam:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", _checked_finite("rho", self.rho))
+        object.__setattr__(self, "rho", _checked_nonnegative("rho", self.rho))
         object.__setattr__(self, "phi", _checked_finite("phi", self.phi))
-        if self.rho < 0.0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
 
     @classmethod
     def from_complex(cls, label: complex) -> "CoherentParam":
@@ -91,14 +146,10 @@ class ModePair:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega1", _checked_finite("omega1", self.omega1))
-        object.__setattr__(self, "omega2", _checked_finite("omega2", self.omega2))
-        object.__setattr__(self, "tau", _checked_finite("tau", self.tau))
         if self.omega1 <= 0.0:
             raise ValueError(f"omega1 must be positive, got {self.omega1}")
-        if self.omega2 < 0.0:
-            raise ValueError(f"omega2 must be nonnegative, got {self.omega2}")
-        if self.tau < 0.0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        object.__setattr__(self, "omega2", _checked_nonnegative("omega2", self.omega2))
+        object.__setattr__(self, "tau", _checked_nonnegative("tau", self.tau))
 
 
 @dataclass(frozen=True)

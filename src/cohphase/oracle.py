@@ -22,21 +22,20 @@ import numpy as np
 from scipy import special
 
 from .core import (
-    DEFAULT_NORM_EPS,
     DEFAULT_OVERLAP_EPS,
     CapacityError,
     CoherentParam,
-    DegenerateStateError,
     EntangledSpec,
     PhaseTriple,
     TruncationError,
     UndefinedTotalPhaseError,
     _checked_finite,
+    _checked_nonnegative,
+    _checked_norm_squared,
+    _defined_phase,
 )
 
 __all__ = [
-    "FOCK_FLOOR",
-    "FOCK_CAP",
     "OracleConfig",
     "TruncatedState",
     "poisson_tail",
@@ -57,7 +56,7 @@ __all__ = [
 #: Smallest cutoff ever used; keeps desk-scale amplitudes essentially exact.
 FOCK_FLOOR = 32
 
-#: Hard cap on the per-mode cutoff, guarding against huge allocations.
+#: Hard cap on the per-mode cutoff, automatic or overridden, guarding against huge allocations.
 FOCK_CAP = 4096
 
 OmegaLike = Union[float, Sequence[float]]
@@ -142,6 +141,8 @@ def fock_cutoff(rho: float, tail_bound: float) -> int:
 def _resolve_cutoff(rhos: Sequence[float], config: OracleConfig) -> int:
     if config.n_max_override is not None:
         n = config.n_max_override
+        if n > FOCK_CAP:
+            raise CapacityError(f"cutoff override {n} exceeds the cap {FOCK_CAP}")
         worst = max(poisson_tail(r * r, n) for r in rhos)
         if worst >= config.trunc_tol:
             raise TruncationError(
@@ -191,26 +192,15 @@ def build_entangled(spec: EntangledSpec, config: OracleConfig | None = None) -> 
         np.exp(-0.5j * spec.varphi) * math.cos(half) * branch1
         + np.exp(0.5j * spec.varphi) * math.sin(half) * branch2
     )
-    nsq = float(np.vdot(grid, grid).real)
-    if nsq <= DEFAULT_NORM_EPS:
-        raise DegenerateStateError(
-            f"branches cancel destructively: squared norm {nsq:.3e} <= {DEFAULT_NORM_EPS:.1e}"
-        )
+    nsq = _checked_norm_squared(float(np.vdot(grid, grid).real))
     return TruncatedState(grid / math.sqrt(nsq), (n1, n2))
 
 
 def _mode_frequencies(omegas: OmegaLike, modes: int) -> tuple[float, ...]:
-    if isinstance(omegas, (int, float)):
-        ws: tuple[float, ...] = (float(omegas),)
-    else:
-        ws = tuple(float(w) for w in omegas)
+    ws = (omegas,) if isinstance(omegas, (int, float)) else tuple(omegas)
     if len(ws) != modes:
         raise ValueError(f"got {len(ws)} frequencies for a {modes}-mode state")
-    for w in ws:
-        _checked_finite("omega", w)
-        if w < 0.0:
-            raise ValueError(f"frequencies must be nonnegative, got {w}")
-    return ws
+    return tuple(_checked_nonnegative("omega", w) for w in ws)
 
 
 def _energy_grid(state: TruncatedState, ws: tuple[float, ...]) -> np.ndarray:
@@ -246,12 +236,7 @@ def mean_energy(state: TruncatedState, omegas: OmegaLike) -> float:
 
 def oracle_total_phase(initial: TruncatedState, final: TruncatedState) -> float:
     """Principal argument of <initial|final>; undefined below DEFAULT_OVERLAP_EPS."""
-    ov = state_overlap(initial, final)
-    if abs(ov) < DEFAULT_OVERLAP_EPS:
-        raise UndefinedTotalPhaseError(
-            f"overlap magnitude {abs(ov):.3e} below {DEFAULT_OVERLAP_EPS:.1e}; total phase undefined"
-        )
-    return math.atan2(ov.imag, ov.real)
+    return _defined_phase(state_overlap(initial, final))
 
 
 def quadrature_dynamical_phase(path: np.ndarray) -> float:
@@ -277,13 +262,6 @@ def quadrature_dynamical_phase(path: np.ndarray) -> float:
     return float(np.angle(steps).sum())
 
 
-def _checked_tau(tau: float) -> float:
-    tau = _checked_finite("tau", tau)
-    if tau < 0.0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    return tau
-
-
 def _subject_state(subject: Subject, config: OracleConfig | None) -> TruncatedState:
     if isinstance(subject, TruncatedState):
         return subject
@@ -301,7 +279,7 @@ def oracle_dynamical_phase(
     config: OracleConfig | None = None,
 ) -> float:
     """Dynamical phase -<H> tau from the conserved mean energy."""
-    tau = _checked_tau(tau)
+    tau = _checked_nonnegative("tau", tau)
     return -mean_energy(_subject_state(subject, config), omegas) * tau
 
 
@@ -316,7 +294,7 @@ def oracle_phases(
     The geometric phase is a principal value shifted by an unbounded real, so
     comparisons against closed forms go through circle_distance.
     """
-    tau = _checked_tau(tau)
+    tau = _checked_nonnegative("tau", tau)
     state = _subject_state(subject, config)
     total = oracle_total_phase(state, evolve(state, omegas, tau))
     dynamical = oracle_dynamical_phase(state, omegas, tau)

@@ -31,7 +31,7 @@ from .core import (
     circle_distance,
 )
 
-__all__ = ["GENERATOR_NAME", "FamilyResult", "VerificationReport", "run_verification", "format_report"]
+__all__ = ["VerificationReport", "run_verification", "format_report"]
 
 GENERATOR_NAME = "numpy PCG64"
 

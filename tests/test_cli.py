@@ -133,6 +133,16 @@ class TestPairCommand:
         assert code == 4
         assert "undefined" in err
 
+    def test_undefined_total_phase_message_matches_single(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["pair", "--rho-alpha", "6", "--rho-beta", "6", "--rho-mu", "6", "--rho-nu", "6",
+             "--omega1", "1", "--omega2", "1", "--tau", "3.141592653589793"],
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: total phase undefined\n"
+
     def test_near_parallel_large_amplitudes_match_oracle(self, capsys):
         # exp(-rho^2) underflows here; the closed forms stay finite
         code, out, err = run_cli(
@@ -157,7 +167,7 @@ class TestPairCommand:
         def overflow(spec, modes):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr(analytic, "pair_total_phase", overflow)
+        monkeypatch.setattr(analytic, "pair_overlap", overflow)
         code, out, err = run_cli(
             capsys,
             ["pair", "--rho-alpha", "1", "--omega1", "1", "--omega2", "1", "--tau", "1"],
@@ -269,6 +279,38 @@ class TestSweepCommand:
             assert fields[3] == point["gamma"]
             assert fields[4] == point["gamma_mod_2pi"]
             assert fields[5] == point["overlap_abs"]
+
+    def test_pair_rows_match_point_command(self, capsys, tmp_path):
+        bindings = ["--rho-alpha", "0.9", "--phi-alpha", "0.2", "--rho-beta", "0.4", "--phi-beta", "1.3",
+                    "--rho-mu", "0.8", "--phi-mu", "2.1", "--rho-nu", "0.3", "--phi-nu", "0.7",
+                    "--theta", "1.1", "--varphi", "0.5", "--omega1", "1.2", "--omega2", "0.8"]
+        out_path = tmp_path / "pair.csv"
+        code, _, _ = run_cli(
+            capsys,
+            ["sweep", "--target", "pair", "--swept", "tau", "--start", "0.5", "--end", "2.5",
+             "--steps", "3", "--output", str(out_path)] + bindings,
+        )
+        assert code == 0
+        rows = out_path.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        for line in rows:
+            fields = line.split(",")
+            code, out, _ = run_cli(capsys, ["pair", "--tau", fields[0]] + bindings)
+            assert code == 0
+            point = {k: v for k, v in (item.split(None, 1) for item in out.strip().splitlines())}
+            assert fields[1:5] == [point["chi"], point["delta"], point["gamma"], point["gamma_mod_2pi"]]
+
+    def test_steps_above_cap_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "huge.csv"
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--target", "single", "--swept", "tau", "--start", "0", "--end", "1",
+             "--steps", "1000001", "--rho", "1", "--omega", "1", "--output", str(out_path)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: steps must not exceed 1000000, got 1000001\n"
+        assert not out_path.exists()
 
     def test_undefined_rows_emitted_empty_with_warning(self, capsys, tmp_path):
         # the half-cycle overlap of a large-amplitude state underflows the threshold
@@ -441,6 +483,12 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: cutoff override 5") and err.count("\n") == 1
+
+    def test_n_max_above_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "--samples", "1", "--n-max", "4097"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: cutoff override 4097 exceeds the cap 4096\n"
 
     def test_capacity_error_exit_code(self, capsys, monkeypatch):
         def over_cap(**kwargs):

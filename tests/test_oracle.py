@@ -28,10 +28,12 @@ from cohphase import (
     oracle_geometric_phase,
     oracle_phases,
     oracle_total_phase,
+    overlap_phase,
     poisson_tail,
     quadrature_dynamical_phase,
     state_overlap,
 )
+from cohphase.oracle import FOCK_CAP
 
 PI = math.pi
 
@@ -55,6 +57,11 @@ class TestCutoff:
     def test_override_too_small(self):
         with pytest.raises(TruncationError):
             build_coherent(CoherentParam(3.0), OracleConfig(n_max_override=10))
+
+    def test_override_is_capped(self):
+        assert build_coherent(CoherentParam(1.0), OracleConfig(n_max_override=FOCK_CAP)).n_max == (FOCK_CAP,)
+        with pytest.raises(CapacityError, match="exceeds the cap"):
+            build_coherent(CoherentParam(1.0), OracleConfig(n_max_override=FOCK_CAP + 1))
 
     def test_poisson_tail_monotone(self):
         tails = [poisson_tail(4.0, n) for n in range(4, 40)]
@@ -210,6 +217,21 @@ class TestOracleTotalPhase:
         far = build_coherent(CoherentParam(7.0), OracleConfig(n_max_override=128))
         with pytest.raises(UndefinedTotalPhaseError):
             oracle_total_phase(near, far)
+
+    @pytest.mark.parametrize("scale", [1.0 - 1e-12, 1.0 + 1e-12])
+    def test_undefined_verdict_matches_overlap_phase(self, scale):
+        # normalized |overlap| just below and just above DEFAULT_OVERLAP_EPS = 1e-10
+        overlap = cmath.rect(1e-10 * scale, 0.7)
+        initial = TruncatedState(np.array([1.0, 0.0]), (1,))
+        final = TruncatedState(np.array([overlap, math.sqrt(1.0 - abs(overlap) ** 2)]), (1,))
+        verdicts = []
+        for phase in (lambda: overlap_phase(overlap), lambda: oracle_total_phase(initial, final)):
+            try:
+                verdicts.append(("defined", phase()))
+            except UndefinedTotalPhaseError as exc:
+                verdicts.append(("undefined", str(exc)))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][0] == ("undefined" if scale < 1.0 else "defined")
 
     def test_basis_mismatch(self):
         small = build_coherent(CoherentParam(1.0), OracleConfig(n_max_override=16))
