@@ -19,6 +19,18 @@ phases beyond it, raise ValueError instead of returning NaN or inf.
 Quantities defined through an argument of a complex number (the total phases
 and the leading arctangent terms of the antipodal forms) are principal values
 in (-pi, pi]; everything else is returned unwrapped.
+
+Each kernel has an array form beside it, named after it with `_rows`, for a
+whole sweep grid at once.  An array form takes the same inputs, any of which
+may be a numpy array over rows, already checked by its caller, who runs it
+under np.errstate(all="ignore").  It repeats the scalar kernel's float
+operations in CPython's order, complex products and quotients included, so
+each row is bit for bit the scalar value: libm's exp, cos and sin come from
+numpy's complex exp, |z| from np.hypot and arguments from math.atan2 per row
+(np.abs, np.arctan2 and real np.exp may differ from them in the last bit).
+Rows where the scalar kernel raises are tracked by `_Rows`:
+DegenerateStateError and UndefinedTotalPhaseError rows come back as masks,
+and any other exception is raised for the first row that meets it.
 """
 
 from __future__ import annotations
@@ -26,6 +38,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .core import (
     TWO_PI,
@@ -37,6 +52,9 @@ from .core import (
     _checked_nonnegative,
     _checked_norm_squared,
     _defined_phase,
+    _degenerate,
+    _opposite,
+    _orthogonal,
 )
 
 __all__ = [
@@ -72,10 +90,15 @@ def _abs2(label: complex) -> float:
     return (label.conjugate() * label).real
 
 
+_SCALE_ERROR = "label amplitudes too large: their squares sum beyond the float range"
+_DYNAMICAL_ERROR = "dynamical phase beyond the float range: omega tau rho^2 overflows"
+_ANTIPODAL_ERROR = "spec must satisfy beta = -alpha and nu = -mu"
+
+
 def _checked_scale(total: float) -> float:
     """A sum of squared label amplitudes; past the float range no overlap exponent exists."""
     if not math.isfinite(total):
-        raise ValueError("label amplitudes too large: their squares sum beyond the float range")
+        raise ValueError(_SCALE_ERROR)
     return total
 
 
@@ -91,6 +114,167 @@ def _mode_exponent(bra: complex, ket: complex, wt: float) -> complex:
     return bra.conjugate() * ket * cmath.rect(1.0, -wt) - damp - 0.5j * wt
 
 
+class _Rows:
+    """Which rows of an array form still run, and what each failed row raises.
+
+    An array form runs its scalar kernel's steps in order over all rows.  A
+    step ends the rows on which the scalar kernel raises: `stop` ends those
+    whose exception a sweep turns into empty cells and returns them as a
+    mask; `fail` ends the others with their exception.  Ended rows take no
+    part in later steps, so a failed row keeps the first exception the scalar
+    kernel meets there, and `raise_first` raises that of the lowest row, as a
+    row-by-row loop would.
+    """
+
+    def __init__(self, count: int) -> None:
+        self.live = np.ones(count, dtype=bool)
+        self._failures: list[tuple[int, Exception]] = []
+
+    def stop(self, rows: np.ndarray) -> np.ndarray:
+        rows = rows & self.live
+        self.live &= ~rows
+        return rows
+
+    def fail(self, rows: np.ndarray, error: Exception) -> None:
+        rows = self.stop(rows)
+        if rows.any():
+            self._failures.append((int(rows.argmax()), error))
+
+    def raise_first(self) -> None:
+        if self._failures:
+            raise min(self._failures, key=lambda failure: failure[0])[1]
+
+
+def _scalar_rows(fn: Callable, special: np.ndarray, rows: _Rows, *args) -> dict[int, object]:
+    """fn(*args) row by row on the live rows of `special`, as {row: value}.
+
+    The array forms send here the rows a numpy ufunc cannot stand in for
+    (non-finite or rescaled arguments), so that these rows raise exactly
+    where the scalar function does; a row where fn raises fails with it.
+    """
+    special = special & rows.live
+    values: dict[int, object] = {}
+    if special.any():
+        args = np.broadcast_arrays(*args, special)[:-1]
+        for row in np.flatnonzero(special):
+            try:
+                values[row] = fn(*(arg[row].item() for arg in args))
+            except (ArithmeticError, ValueError) as exc:
+                rows.fail(np.arange(special.size) == row, exc)
+    return values
+
+
+# Complex numbers over rows are (real, imag) pairs of float arrays, and a float
+# operand x of complex arithmetic is (x, 0.0), as CPython converts it.  numpy's
+# complex multiply rounds differently from CPython's in the last bit, so the
+# products are spelt out in CPython's order.
+def _cmul(a: tuple, b: tuple) -> tuple:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _cadd(a: tuple, b: tuple) -> tuple:
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _csub(a: tuple, b: tuple) -> tuple:
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _conj(a: tuple) -> tuple:
+    return a[0], -a[1]
+
+
+def _cdiv_real(a: tuple, x) -> tuple:
+    """a / x for a float x, as CPython divides by (x, 0.0) (Smith's algorithm)."""
+    ratio = 0.0 / x
+    denom = x + 0.0 * ratio
+    return (a[0] + a[1] * ratio) / denom, (a[1] - a[0] * ratio) / denom
+
+
+def _cis(x) -> tuple:
+    """(cos x, sin x) over rows as libm gives them: numpy's complex exp of i x."""
+    z = np.zeros(np.shape(x), dtype=complex)
+    z.imag = x
+    z = np.exp(z)
+    return z.real, z.imag
+
+
+#: cmath.exp rescales an exponent whose real part exceeds this (CPython's CM_LOG_LARGE_DOUBLE).
+_CMATH_RESCALE = math.log(sys.float_info.max / 4.0)
+
+
+def _exp_rows(z: tuple, rows: _Rows) -> tuple:
+    """cmath.exp over rows.
+
+    numpy's complex exp is libm's exp(re) (cos im, sin im), which is cmath.exp
+    for a finite exponent below cmath's rescaling threshold; the other live
+    rows go through cmath.exp itself, and fail where it raises.
+    """
+    re, im = np.broadcast_arrays(*z)
+    arg = np.empty(re.shape, dtype=complex)
+    arg.real, arg.imag = re, im
+    out = np.exp(arg)
+    special = ~(np.isfinite(re) & np.isfinite(im) & (re <= _CMATH_RESCALE))
+    values = _scalar_rows(cmath.exp, special, rows, arg)
+    if values:
+        out = np.array(np.broadcast_to(out, rows.live.shape))
+        out[list(values)] = list(values.values())
+    return out.real, out.imag
+
+
+def _turn_rows(wt, rows: _Rows) -> tuple:
+    """cmath.rect(1.0, -wt) over rows; an infinite wt fails its row, as cmath.rect raises there."""
+    angle = -wt
+    _scalar_rows(lambda phi: cmath.rect(1.0, phi), ~np.isfinite(angle), rows, angle)
+    return _cis(angle)
+
+
+def _square_rows(x) -> np.ndarray:
+    """x**2 per row as float.__pow__ computes it; x * x differs in the last bit for about 1 in 1000."""
+    def square(value: float) -> float:
+        try:
+            return value**2
+        except OverflowError:  # only on rows that failed their scale check
+            return math.inf
+
+    return np.array([square(value) for value in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+class _ParamRows(NamedTuple):
+    """A CoherentParam over rows: rho, and the label cmath.rect(rho, phi) as (real, imag)."""
+
+    rho: object
+    label: tuple
+
+
+def _param_rows(rho, phi) -> _ParamRows:
+    cos_phi, sin_phi = _cis(phi)
+    return _ParamRows(rho, (rho * cos_phi, rho * sin_phi))
+
+
+class _SpecRows(NamedTuple):
+    """An EntangledSpec over rows; every field may be an array."""
+
+    alpha: _ParamRows
+    beta: _ParamRows
+    mu: _ParamRows
+    nu: _ParamRows
+    theta: object
+    varphi: object
+
+
+def _abs2_rows(label: tuple):
+    return _cmul(_conj(label), label)[0]
+
+
+def _mode_exponent_rows(bra: tuple, ket: tuple, wt, rows: _Rows) -> tuple:
+    """_mode_exponent over rows."""
+    damp = 0.5 * _abs2_rows(bra) + 0.5 * _abs2_rows(ket)
+    rows.fail(~np.isfinite(damp), ValueError(_SCALE_ERROR))
+    product = _cmul(_cmul(_conj(bra), ket), _turn_rows(wt, rows))
+    return _csub(_csub(product, (damp, 0.0)), _cmul((0.0, 0.5), (wt, 0.0)))
+
+
 def single_overlap(alpha: CoherentParam, omega: float, tau: float) -> complex:
     """Overlap of a coherent state at time 0 with itself at time tau.
 
@@ -100,6 +284,11 @@ def single_overlap(alpha: CoherentParam, omega: float, tau: float) -> complex:
     omega, tau = _check_single_mode(omega, tau)
     label = alpha.label
     return cmath.exp(_mode_exponent(label, label, omega * tau))
+
+
+def _single_overlap_rows(alpha: _ParamRows, omega: float, tau, rows: _Rows) -> tuple:
+    """single_overlap over rows, for an omega and tau the caller checked."""
+    return _exp_rows(_mode_exponent_rows(alpha.label, alpha.label, omega * tau, rows), rows)
 
 
 def single_phases(alpha: CoherentParam, omega: float, tau: float) -> PhaseTriple:
@@ -118,6 +307,20 @@ def single_phases(alpha: CoherentParam, omega: float, tau: float) -> PhaseTriple
     dynamical = -wt * (0.5 + rho2)
     geometric = rho2 * (wt - math.sin(wt))
     return PhaseTriple(total, dynamical, geometric)
+
+
+def _single_phases_rows(alpha: _ParamRows, omega: float, tau, rows: _Rows) -> tuple:
+    """single_phases over rows, as (total, dynamical, geometric), for an omega and tau the caller checked."""
+    wt = omega * tau
+    _scalar_rows(math.sin, ~np.isfinite(wt), rows, wt)
+    sin_wt = _cis(wt)[1]
+    rho2 = alpha.rho * alpha.rho
+    total = -(rho2 * sin_wt + 0.5 * wt)
+    dynamical = -wt * (0.5 + rho2)
+    geometric = rho2 * (wt - sin_wt)
+    finite = np.isfinite(total) & np.isfinite(dynamical) & np.isfinite(geometric)
+    _scalar_rows(PhaseTriple, ~finite, rows, total, dynamical, geometric)
+    return total, dynamical, geometric
 
 
 def unequal_time_overlap(bra: CoherentParam, ket: CoherentParam, omega: float, tau: float) -> complex:
@@ -144,9 +347,20 @@ def overlap_phase(overlap: complex) -> float:
     return _defined_phase(overlap)
 
 
+def _overlap_phase_rows(overlap: tuple, rows: _Rows) -> tuple:
+    """overlap_phase over rows: (phase, |overlap|, undefined mask); the phase is NaN on ended rows."""
+    magnitude = np.hypot(*overlap)
+    undefined = rows.stop(_orthogonal(magnitude))
+    live = rows.live
+    re, im = (np.broadcast_to(part, live.shape)[live] for part in overlap)
+    phase = np.full(live.shape, math.nan)
+    phase[live] = list(map(math.atan2, im.tolist(), re.tolist()))
+    return phase, magnitude, undefined
+
+
 def _checked_dynamical(value: float) -> float:
     if not math.isfinite(value):
-        raise ValueError("dynamical phase beyond the float range: omega tau rho^2 overflows")
+        raise ValueError(_DYNAMICAL_ERROR)
     return value
 
 
@@ -187,6 +401,40 @@ def _branch_sum(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float, com
             overlap += weights[i][j] * cmath.exp((ab * turn1 - damp1) + (mn * turn2 - damp2) - zero_point)
     nsq = _checked_norm_squared(nsq.real)
     return nsq, overlap / nsq, _checked_dynamical(energy.real / nsq)
+
+
+def _branch_sum_rows(spec: _SpecRows, w1t, w2t, rows: _Rows) -> tuple:
+    """_branch_sum over rows: (N^2, <psi(0)|psi(tau)>, <H> tau, degenerate mask)."""
+    a = (spec.alpha.label, spec.beta.label)
+    m = (spec.mu.label, spec.nu.label)
+    a2 = (_abs2_rows(a[0]), _abs2_rows(a[1]))
+    m2 = (_abs2_rows(m[0]), _abs2_rows(m[1]))
+    rows.fail(~np.isfinite(a2[0] + a2[1] + m2[0] + m2[1]), ValueError(_SCALE_ERROR))
+    cos_t, sin_t = _cis(spec.theta)
+    cross = _cmul((0.5 * sin_t, 0.0), _cis(spec.varphi))
+    weights = (((0.5 * (1.0 + cos_t), 0.0), cross), (_conj(cross), (0.5 * (1.0 - cos_t), 0.0)))
+    turn1 = _turn_rows(w1t, rows)
+    turn2 = _turn_rows(w2t, rows)
+    zero_point = _cmul((0.0, 0.5), (w1t + w2t, 0.0))
+
+    nsq = overlap = energy = (0.0, 0.0)
+    for i in (0, 1):
+        for j in (0, 1):
+            ab = _cmul(_conj(a[i]), a[j])
+            mn = _cmul(_conj(m[i]), m[j])
+            damp1 = (0.5 * (a2[i] + a2[j]), 0.0)
+            damp2 = (0.5 * (m2[i] + m2[j]), 0.0)
+            same_time = _cmul(weights[i][j], _exp_rows(_cadd(_csub(ab, damp1), _csub(mn, damp2)), rows))
+            nsq = _cadd(nsq, same_time)
+            load = _cadd(_cmul((w1t, 0.0), _cadd((0.5, 0.0), ab)), _cmul((w2t, 0.0), _cadd((0.5, 0.0), mn)))
+            energy = _cadd(energy, _cmul(same_time, load))
+            moved = _cadd(_csub(_cmul(ab, turn1), damp1), _csub(_cmul(mn, turn2), damp2))
+            overlap = _cadd(overlap, _cmul(weights[i][j], _exp_rows(_csub(moved, zero_point), rows)))
+    nsq = nsq[0]
+    degenerate = rows.stop(_degenerate(nsq))
+    energy = energy[0] / nsq
+    rows.fail(~np.isfinite(energy), ValueError(_DYNAMICAL_ERROR))
+    return nsq, _cdiv_real(overlap, nsq), energy, degenerate
 
 
 def norm_squared(spec: EntangledSpec) -> float:
@@ -233,7 +481,7 @@ def _antipodal_parts(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float
     _branch_sum's domain rules.
     """
     if not spec.is_antipodal():
-        raise ValueError("spec must satisfy beta = -alpha and nu = -mu")
+        raise ValueError(_ANTIPODAL_ERROR)
     rho_a, rho_m = spec.alpha.rho, spec.mu.rho
     _checked_scale(2.0 * (rho_a * rho_a + rho_m * rho_m))
     ra2, rm2 = rho_a**2, rho_m**2
@@ -247,6 +495,26 @@ def _antipodal_parts(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float
 
 def _antipodal_delta(wt: float, rho2: float, coupling: float, nsq: float) -> float:
     return -(wt * (0.5 + rho2) + coupling * wt * (0.5 - rho2)) / nsq
+
+
+def _antipodal_parts_rows(spec: _SpecRows, w1t, w2t, rows: _Rows) -> tuple:
+    """_antipodal_parts over rows: (N^2, delta_1, delta_2, degenerate mask)."""
+    # EntangledSpec.is_antipodal, row by row
+    beta_sum = np.hypot(*_cadd(spec.beta.label, spec.alpha.label))
+    nu_sum = np.hypot(*_cadd(spec.nu.label, spec.mu.label))
+    antipodal = _opposite(beta_sum, spec.alpha.rho) & _opposite(nu_sum, spec.mu.rho)
+    rows.fail(~antipodal, ValueError(_ANTIPODAL_ERROR))
+    rho_a, rho_m = spec.alpha.rho, spec.mu.rho
+    rows.fail(~np.isfinite(2.0 * (rho_a * rho_a + rho_m * rho_m)), ValueError(_SCALE_ERROR))
+    ra2, rm2 = _square_rows(rho_a), _square_rows(rho_m)
+    decay = _exp_rows((-2.0 * (ra2 + rm2), 0.0), rows)[0]
+    coupling = _cis(spec.theta)[1] * _cis(spec.varphi)[0] * decay
+    nsq = 1.0 + coupling
+    degenerate = rows.stop(_degenerate(nsq))
+    delta1 = _antipodal_delta(w1t, ra2, coupling, nsq)
+    delta2 = _antipodal_delta(w2t, rm2, coupling, nsq)
+    rows.fail(~np.isfinite(delta1 + delta2), ValueError(_DYNAMICAL_ERROR))
+    return nsq, delta1, delta2, degenerate
 
 
 def antipodal_dynamical_parts(spec: EntangledSpec, modes: ModePair) -> tuple[float, float]:
@@ -285,6 +553,18 @@ def antipodal_geometric_phase(spec: EntangledSpec, modes: ModePair) -> float:
     cross = cmath.exp(_mode_exponent(a, -a, w1t) + _mode_exponent(m, -m, w2t))
     sc = math.sin(spec.theta) * math.cos(spec.varphi)
     return overlap_phase((same + sc * cross) / nsq) - (delta1 + delta2)
+
+
+def _antipodal_overlap_rows(spec: _SpecRows, w1t, w2t, nsq, rows: _Rows) -> tuple:
+    """The collapsed overlap of antipodal_geometric_phase over rows, given _antipodal_parts_rows's N^2."""
+    a, m = spec.alpha.label, spec.mu.label
+    minus_a, minus_m = (-a[0], -a[1]), (-m[0], -m[1])
+    same = _exp_rows(_cadd(_mode_exponent_rows(a, a, w1t, rows), _mode_exponent_rows(m, m, w2t, rows)), rows)
+    cross = _exp_rows(
+        _cadd(_mode_exponent_rows(a, minus_a, w1t, rows), _mode_exponent_rows(m, minus_m, w2t, rows)), rows
+    )
+    sc = _cis(spec.theta)[1] * _cis(spec.varphi)[0]
+    return _cdiv_real(_cadd(same, _cmul((sc, 0.0), cross)), nsq)
 
 
 def _checked_turns(name: str, value: int) -> int:

@@ -1,9 +1,11 @@
 """Command-line front end: point evaluations, CSV parameter sweeps, verification.
 
-Commands: `single` and `pair` print one labelled value per line, computed
-by evaluate_point as the matching `sweep` row is; `sweep` writes a CSV curve
-over one swept parameter; `verify` runs the randomized analytic-vs-oracle
-harness and exits nonzero on failure.
+Commands: `single` and `pair` print one labelled value per line; `sweep`
+writes a CSV curve over one swept parameter; `verify` runs the randomized
+analytic-vs-oracle harness and exits nonzero on failure.  A sweep's rows
+come from one pass of analytic's array kernels over the whole grid, bit for
+bit the scalar closed forms' values; `single` and `pair` print the one-row
+grid of their point through the same call, so a point equals its sweep row.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error
 (a non-finite or non-positive `verify --tolerance`, `sweep --steps` above
@@ -75,7 +77,9 @@ _SWEPT_BINDING: dict[str, dict[str, str]] = {
     **{target: {name: name for name in SWEPT_NAMES} for target in TARGETS if target != "single"},
 }
 
-#: Upper bound on sweep rows: every row is held in memory until the CSV is written.
+#: Upper bound on sweep rows: the kernels hold a few dozen float arrays over the
+#: grid, and every row stays in memory, as floats and as CSV text, until the
+#: file is written (about 0.7 GB at the bound).
 MAX_SWEEP_STEPS = 1_000_000
 
 #: Sweep warning, and the error of `single` and `pair`, where the endpoint overlap vanishes.
@@ -127,32 +131,24 @@ class SweepRequest:
         return _SWEPT_BINDING[self.target][self.swept]
 
 
-@dataclass(frozen=True)
-class PointResult:
-    """One sweep row; fields are None when the quantity is undefined there."""
-
-    chi: float | None
-    delta: float | None
-    gamma: float | None
-    overlap_abs: float | None
-    note: str | None = None
+#: One sweep row: swept value, chi, delta, gamma, overlap_abs (None where left
+#: empty) and the note on why cells are empty (None on a full row).
+_Row = tuple[float, float | None, float | None, float | None, float | None, str | None]
 
 
-def _eval_single(bind: dict[str, float]) -> PointResult:
-    alpha = CoherentParam(bind["rho"], bind["phi"])
-    triple = analytic.single_phases(alpha, bind["omega"], bind["tau"])
-    overlap = analytic.single_overlap(alpha, bind["omega"], bind["tau"])
-    try:
-        analytic.overlap_phase(overlap)
-    except UndefinedTotalPhaseError:
-        return PointResult(None, triple.dynamical, None, abs(overlap), note=_UNDEFINED_NOTE)
-    return PointResult(triple.total, triple.dynamical, triple.geometric, abs(overlap))
+def _point_inputs(target: str, bind: dict[str, float]) -> tuple:
+    """The checked scalar inputs of one point, built as the closed forms take them.
 
-
-def _pair_inputs(target: str, bind: dict[str, float]) -> tuple[EntangledSpec, ModePair]:
+    Raises the ValueError the first invalid binding gives, with its message:
+    (alpha, omega, tau) for `single`, (spec, modes) for the other targets.
+    """
+    if target == "single":
+        alpha = CoherentParam(bind["rho"], bind["phi"])
+        return (alpha, *analytic._check_single_mode(bind["omega"], bind["tau"]))
+    alpha = CoherentParam(bind["rho_alpha"], bind["phi_alpha"])
     if target == "pair":
         spec = EntangledSpec(
-            CoherentParam(bind["rho_alpha"], bind["phi_alpha"]),
+            alpha,
             CoherentParam(bind["rho_beta"], bind["phi_beta"]),
             CoherentParam(bind["rho_mu"], bind["phi_mu"]),
             CoherentParam(bind["rho_nu"], bind["phi_nu"]),
@@ -160,54 +156,109 @@ def _pair_inputs(target: str, bind: dict[str, float]) -> tuple[EntangledSpec, Mo
             bind["varphi"],
         )
     else:
-        spec = EntangledSpec.antipodal(
-            CoherentParam(bind["rho_alpha"], bind["phi_alpha"]),
-            CoherentParam(bind["rho_mu"], bind["phi_mu"]),
-            bind["theta"],
-            bind["varphi"],
-        )
+        mu = CoherentParam(bind["rho_mu"], bind["phi_mu"])
+        spec = EntangledSpec.antipodal(alpha, mu, bind["theta"], bind["varphi"])
     omega2 = 0.0 if target == "one-particle" else bind["omega2"]
     return spec, ModePair(bind["omega1"], omega2, bind["tau"])
 
 
-def _eval_pairlike(target: str, bind: dict[str, float]) -> PointResult:
-    # a one-particle row is the antipodal row at omega2 = 0 (see _pair_inputs)
-    spec, modes = _pair_inputs(target, bind)
-    try:
-        overlap = analytic.pair_overlap(spec, modes)
-        if target == "pair":
-            delta = analytic.pair_dynamical_phase(spec, modes)
+def _spec_rows(target: str, bind: dict) -> analytic._SpecRows:
+    """The spec of _point_inputs over rows; any binding may be an array."""
+    alpha = analytic._param_rows(bind["rho_alpha"], bind["phi_alpha"])
+    mu = analytic._param_rows(bind["rho_mu"], bind["phi_mu"])
+    if target == "pair":
+        beta = analytic._param_rows(bind["rho_beta"], bind["phi_beta"])
+        nu = analytic._param_rows(bind["rho_nu"], bind["phi_nu"])
+    else:
+        # EntangledSpec.antipodal: beta and nu are alpha and mu negated, phase advanced by pi
+        beta = analytic._param_rows(bind["rho_alpha"], bind["phi_alpha"] + math.pi)
+        nu = analytic._param_rows(bind["rho_mu"], bind["phi_mu"] + math.pi)
+    return analytic._SpecRows(alpha, beta, mu, nu, bind["theta"], bind["varphi"])
+
+
+def _single_columns(bind: dict, rows: analytic._Rows) -> tuple:
+    alpha = analytic._param_rows(bind["rho"], bind["phi"])
+    total, dynamical, geometric = analytic._single_phases_rows(alpha, bind["omega"], bind["tau"], rows)
+    overlap = analytic._single_overlap_rows(alpha, bind["omega"], bind["tau"], rows)
+    _, overlap_abs, undefined = analytic._overlap_phase_rows(overlap, rows)
+    return total, dynamical, geometric, overlap_abs, np.zeros_like(undefined), undefined
+
+
+def _pairlike_columns(target: str, bind: dict, rows: analytic._Rows) -> tuple:
+    # a one-particle row is the antipodal row at omega2 = 0
+    spec = _spec_rows(target, bind)
+    omega2 = 0.0 if target == "one-particle" else bind["omega2"]
+    w1t, w2t = bind["omega1"] * bind["tau"], omega2 * bind["tau"]
+    _, overlap, energy, degenerate = analytic._branch_sum_rows(spec, w1t, w2t, rows)
+    if target == "pair":
+        delta = -energy
+    else:
+        nsq, delta1, delta2, degenerate_parts = analytic._antipodal_parts_rows(spec, w1t, w2t, rows)
+        degenerate |= degenerate_parts
+        delta = delta1 + delta2
+    chi, overlap_abs, undefined = analytic._overlap_phase_rows(overlap, rows)
+    if target == "pair":
+        gamma = chi - delta
+    else:
+        collapsed = analytic._antipodal_overlap_rows(spec, w1t, w2t, nsq, rows)
+        phase, _, undefined_collapsed = analytic._overlap_phase_rows(collapsed, rows)
+        undefined |= undefined_collapsed
+        gamma = phase - delta
+    return chi, delta, gamma, overlap_abs, degenerate, undefined
+
+
+def _cells(values, empty: np.ndarray) -> list[float | None]:
+    cells = np.broadcast_to(values, empty.shape).tolist()
+    for row in np.flatnonzero(empty):
+        cells[row] = None
+    return cells
+
+
+def _rows(target: str, bind: dict, swept: str) -> list[_Row]:
+    """The rows of `target` over the values of bind[swept], from one pass of the array kernels.
+
+    The other bindings are floats.  Rows differ only in the swept value, and
+    SweepRequest and linspace keep every grid value inside the domain its
+    first one is in, so checking the first row's scalar inputs checks them
+    all, with the messages the closed forms give.  A point is the one-row
+    grid of its bound tau.
+    """
+    values = np.atleast_1d(bind[swept])
+    _point_inputs(target, {**bind, swept: float(values[0])})
+    rows = analytic._Rows(values.size)
+    # failed rows overflow on the way; their exception is raised instead of a warning
+    with np.errstate(all="ignore"):
+        if target == "single":
+            columns = _single_columns(bind, rows)
         else:
-            delta = analytic.antipodal_dynamical_phase(spec, modes)
-    except DegenerateStateError:
-        return PointResult(None, None, None, None, note="degenerate state")
-    try:
-        chi = analytic.overlap_phase(overlap)
-        if target == "pair":
-            gamma = chi - delta
-        else:
-            gamma = analytic.antipodal_geometric_phase(spec, modes)
-    except UndefinedTotalPhaseError:
-        return PointResult(None, delta, None, abs(overlap), note=_UNDEFINED_NOTE)
-    return PointResult(chi, delta, gamma, abs(overlap))
+            columns = _pairlike_columns(target, bind, rows)
+    rows.raise_first()
+    chi, delta, gamma, overlap_abs, degenerate, undefined = columns
+    notes: list[str | None] = [None] * values.size
+    for row in np.flatnonzero(degenerate):
+        notes[row] = "degenerate state"
+    for row in np.flatnonzero(undefined):
+        notes[row] = _UNDEFINED_NOTE
+    empty = degenerate | undefined
+    return list(
+        zip(
+            values.tolist(),
+            _cells(chi, empty),
+            _cells(delta, degenerate),
+            _cells(gamma, empty),
+            _cells(overlap_abs, degenerate),
+            notes,
+        )
+    )
 
 
-def evaluate_point(target: str, bind: dict[str, float]) -> PointResult:
-    return _eval_single(bind) if target == "single" else _eval_pairlike(target, bind)
-
-
-def sweep_points(request: SweepRequest) -> list[tuple[float, PointResult]]:
-    """Evaluate the sweep grid in ascending order of the swept value."""
+def sweep_points(request: SweepRequest) -> list[_Row]:
+    """Evaluate the sweep grid in ascending order of the swept value, all rows at once."""
     name = request.binding_name()
-    rows = []
-    for value in request.grid():
-        bind = dict(request.fixed)
-        bind[name] = float(value)
-        rows.append((float(value), evaluate_point(request.target, bind)))
-    return rows
+    return _rows(request.target, {**request.fixed, name: request.grid()}, name)
 
 
-def render_sweep_csv(request: SweepRequest, rows: list[tuple[float, PointResult]]) -> str:
+def render_sweep_csv(request: SweepRequest, rows: list[_Row]) -> str:
     """Deterministic CSV text for a sweep; empty fields mark undefined values."""
     header = "swept_value,chi,delta,gamma,gamma_mod_2pi,overlap_abs"
     if request.unwrap:
@@ -219,28 +270,28 @@ def render_sweep_csv(request: SweepRequest, rows: list[tuple[float, PointResult]
         # unwrap each contiguous run of defined gamma values independently
         start = 0
         while start < len(rows):
-            if rows[start][1].gamma is None:
+            if rows[start][3] is None:
                 start += 1
                 continue
             stop = start
-            while stop < len(rows) and rows[stop][1].gamma is not None:
+            while stop < len(rows) and rows[stop][3] is not None:
                 stop += 1
-            segment = unwrap_sequence([rows[k][1].gamma for k in range(start, stop)])
+            segment = unwrap_sequence([rows[k][3] for k in range(start, stop)])
             unwrapped[start:stop] = segment
             start = stop
 
     def cell(value: float | None) -> str:
         return "" if value is None else _fmt(value)
 
-    for index, (swept_value, point) in enumerate(rows):
-        gamma_mod = None if point.gamma is None else wrap_principal(point.gamma)
+    for index, (swept_value, chi, delta, gamma, overlap_abs, _) in enumerate(rows):
+        gamma_mod = None if gamma is None else wrap_principal(gamma)
         fields = [
             _fmt(swept_value),
-            cell(point.chi),
-            cell(point.delta),
-            cell(point.gamma),
+            cell(chi),
+            cell(delta),
+            cell(gamma),
             cell(gamma_mod),
-            cell(point.overlap_abs),
+            cell(overlap_abs),
         ]
         if request.unwrap:
             fields.append(cell(unwrapped[index]))
@@ -273,40 +324,41 @@ def _resolve_bindings(target: str, swept: str | None, args: argparse.Namespace) 
     return bound
 
 
-def _defined_point(target: str, bind: dict[str, float]) -> PointResult:
-    """The sweep row of one point; a point command fails where the row is left empty."""
-    point = evaluate_point(target, bind)
-    if point.note is not None:
-        raise UndefinedTotalPhaseError(point.note)
+def _defined_point(target: str, bind: dict[str, float]) -> _Row:
+    """The one-row grid of a point; a point command fails where the row is left empty."""
+    point = _rows(target, bind, "tau")[0]
+    *_, note = point
+    if note is not None:
+        raise UndefinedTotalPhaseError(note)
     return point
 
 
-def _phase_lines(point: PointResult) -> list[tuple[str, float]]:
+def _phase_lines(chi: float, delta: float, gamma: float) -> list[tuple[str, float]]:
     return [
-        ("chi", point.chi),
-        ("delta", point.delta),
-        ("gamma", point.gamma),
-        ("gamma_mod_2pi", wrap_principal(point.gamma)),
+        ("chi", chi),
+        ("delta", delta),
+        ("gamma", gamma),
+        ("gamma_mod_2pi", wrap_principal(gamma)),
     ]
 
 
 def cmd_single(args: argparse.Namespace) -> int:
-    point = _defined_point("single", _resolve_bindings("single", None, args))
-    _print_table(_phase_lines(point) + [("overlap_abs", point.overlap_abs)])
+    _, chi, delta, gamma, overlap_abs, _ = _defined_point("single", _resolve_bindings("single", None, args))
+    _print_table(_phase_lines(chi, delta, gamma) + [("overlap_abs", overlap_abs)])
     return EXIT_OK
 
 
 def cmd_pair(args: argparse.Namespace) -> int:
     bind = _resolve_bindings("pair", None, args)
-    spec, modes = _pair_inputs("pair", bind)
+    spec, modes = _point_inputs("pair", bind)
     # before the row, so that a degenerate state exits 3 with its squared norm in the message
     nsq = analytic.norm_squared(spec)
-    point = _defined_point("pair", bind)
-    table = [("n_squared", nsq)] + _phase_lines(point)
+    _, chi, delta, gamma, _, _ = _defined_point("pair", bind)
+    table = [("n_squared", nsq)] + _phase_lines(chi, delta, gamma)
     if spec.is_antipodal():
         anti = analytic.antipodal_geometric_phase(spec, modes)
         table.append(("antipodal_gamma", anti))
-        table.append(("antipodal_circle_distance", abs(wrap_principal(point.gamma - anti))))
+        table.append(("antipodal_circle_distance", abs(wrap_principal(gamma - anti))))
     _print_table(table)
     return EXIT_OK
 
@@ -323,12 +375,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         unwrap=args.unwrap,
     )
     rows = sweep_points(request)
-    for swept_value, point in rows:
-        if point.note is not None:
-            print(
-                f"warning: {point.note} at {request.swept}={_fmt(swept_value)}",
-                file=sys.stderr,
-            )
+    for swept_value, *_, note in rows:
+        if note is not None:
+            print(f"warning: {note} at {request.swept}={_fmt(swept_value)}", file=sys.stderr)
     text = render_sweep_csv(request, rows)
     with open(args.output, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)

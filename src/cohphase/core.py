@@ -9,7 +9,10 @@ The domain rules that the closed forms and the oracle share live here once:
 _checked_norm_squared (a two-branch state cannot be normalized at or below
 DEFAULT_NORM_EPS), _defined_phase (no total phase where the normalized
 endpoint overlap is below DEFAULT_OVERLAP_EPS) and _checked_nonnegative
-(times, frequencies and amplitudes are finite and nonnegative).
+(times, frequencies and amplitudes are finite and nonnegative).  The first
+two, and the antipodal test of EntangledSpec.is_antipodal, read predicates
+(_degenerate, _orthogonal, _opposite) that the closed forms' array forms
+apply elementwise.
 """
 
 from __future__ import annotations
@@ -82,9 +85,24 @@ def _checked_nonnegative(name: str, value: float) -> float:
     return value
 
 
+def _degenerate(norm_squared):
+    """True where a squared norm N^2 is at most DEFAULT_NORM_EPS: the branches cancel."""
+    return norm_squared <= DEFAULT_NORM_EPS
+
+
+def _orthogonal(magnitude):
+    """True where a normalized overlap magnitude is below DEFAULT_OVERLAP_EPS: no total phase."""
+    return magnitude < DEFAULT_OVERLAP_EPS
+
+
+def _opposite(sum_magnitude, rho):
+    """True where |a + b| for labels a, b of amplitude rho is within a relative 1e-12 of 0."""
+    return sum_magnitude <= 1e-12 * (1.0 + rho)
+
+
 def _checked_norm_squared(value: float) -> float:
     """A squared norm N^2; at or below DEFAULT_NORM_EPS the branches cancel (DegenerateStateError)."""
-    if value <= DEFAULT_NORM_EPS:
+    if _degenerate(value):
         raise DegenerateStateError(
             f"branches cancel destructively: squared norm {value:.3e} <= {DEFAULT_NORM_EPS:.1e}"
         )
@@ -99,7 +117,7 @@ def _defined_phase(overlap: complex) -> float:
     the quadrant.
     """
     magnitude = abs(overlap)
-    if magnitude < DEFAULT_OVERLAP_EPS:
+    if _orthogonal(magnitude):
         raise UndefinedTotalPhaseError(
             f"overlap magnitude {magnitude:.3e} below {DEFAULT_OVERLAP_EPS:.1e}; total phase undefined"
         )
@@ -191,10 +209,8 @@ class EntangledSpec:
 
     def is_antipodal(self) -> bool:
         """True when beta = -alpha and nu = -mu as complex labels, within a relative 1e-12."""
-        return (
-            abs(self.beta.label + self.alpha.label) <= 1e-12 * (1.0 + self.alpha.rho)
-            and abs(self.nu.label + self.mu.label) <= 1e-12 * (1.0 + self.mu.rho)
-        )
+        opposite_alpha = _opposite(abs(self.beta.label + self.alpha.label), self.alpha.rho)
+        return opposite_alpha and _opposite(abs(self.nu.label + self.mu.label), self.mu.rho)
 
 
 @dataclass(frozen=True)

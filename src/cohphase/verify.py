@@ -115,6 +115,12 @@ class _Case:
         }
 
 
+def _conditioned(spec: EntangledSpec, modes: ModePair) -> bool:
+    """N^2 and the endpoint overlap magnitude, from one branch sum, are both clear of 0."""
+    nsq, overlap, _ = analytic._branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)
+    return nsq >= MIN_NORM_SQUARED and abs(overlap) >= MIN_OVERLAP
+
+
 def _draw_case(rng: np.random.Generator) -> _Case:
     while True:
         rhos = rng.uniform(0.0, 1.5, size=4)
@@ -136,15 +142,7 @@ def _draw_case(rng: np.random.Generator) -> _Case:
         modes = ModePair(omega1, omega2, 1.0)
         single_modes = ModePair(omega1, 0.0, 1.0)
         try:
-            if analytic.norm_squared(spec) < MIN_NORM_SQUARED:
-                continue
-            if analytic.norm_squared(anti) < MIN_NORM_SQUARED:
-                continue
-            if abs(analytic.pair_overlap(spec, modes)) < MIN_OVERLAP:
-                continue
-            if abs(analytic.pair_overlap(anti, modes)) < MIN_OVERLAP:
-                continue
-            if abs(analytic.pair_overlap(anti, single_modes)) < MIN_OVERLAP:
+            if not all(_conditioned(*case) for case in ((spec, modes), (anti, modes), (anti, single_modes))):
                 continue
         except DegenerateStateError:
             continue

@@ -164,10 +164,10 @@ class TestPairCommand:
         assert abs(math.remainder(values["gamma"] - simulated, 2.0 * PI)) <= 1e-8 + bias
 
     def test_overflow_exit_code(self, capsys, monkeypatch):
-        def overflow(spec, modes):
+        def overflow(spec):
             raise OverflowError("math range error")
 
-        monkeypatch.setattr(analytic, "pair_overlap", overflow)
+        monkeypatch.setattr(analytic, "norm_squared", overflow)
         code, out, err = run_cli(
             capsys,
             ["pair", "--rho-alpha", "1", "--omega1", "1", "--omega2", "1", "--tau", "1"],
@@ -310,6 +310,35 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert err == "error: steps must not exceed 1000000, got 1000001\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (["--target", "antipodal", "--swept", "tau", "--omega1", "0", "--omega2", "1"],
+             "error: omega1 must be positive, got 0.0\n"),
+            (["--target", "antipodal", "--swept", "tau", "--omega1", "1", "--omega2", "1",
+              "--rho-alpha", "-1"],
+             "error: rho must be nonnegative, got -1.0\n"),
+            (["--target", "pair", "--swept", "tau", "--omega1", "1", "--omega2", "1", "--theta", "4"],
+             "error: theta must lie in [0, pi], got 4.0\n"),
+            (["--target", "pair", "--swept", "varphi", "--omega1", "1", "--omega2", "1", "--tau", "nan"],
+             "error: tau must be finite, got nan\n"),
+            (["--target", "single", "--swept", "tau", "--rho", "1", "--omega", "0"],
+             "error: omega must be positive, got 0.0\n"),
+            (["--target", "single", "--swept", "rho_alpha", "--phi", "inf", "--omega", "1", "--tau", "1"],
+             "error: phi must be finite, got inf\n"),
+        ],
+    )
+    def test_fixed_bindings_are_checked_before_any_row(self, capsys, tmp_path, flags, line):
+        out_path = tmp_path / "checked.csv"
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", *flags, "--start", "0", "--end", "1", "--steps", "3", "--output", str(out_path)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == line
         assert not out_path.exists()
 
     def test_undefined_rows_emitted_empty_with_warning(self, capsys, tmp_path):
