@@ -1,20 +1,25 @@
 """Brute-force truncated Fock-space verifier for the closed-form phases.
 
 States are dense complex coefficient vectors over number states |n> (one
-mode) or a rectangular grid |n1, n2> (two modes).  Evolution is exact and
-diagonal, so the total, dynamical, and geometric phases can be computed
-straight from their definitions: the argument of the endpoint overlap, the
-conserved-energy value -<H> tau, and their difference.  oracle_phases is the
-one path that evolves a state and forms all three; oracle_geometric_phase
-reads its geometric phase.  The dynamical phase also has a kinematic form
-that reads only the states along a sampled path, the discrete connection sum
-of arg <psi_k|psi_{k+1}>.  Nothing here uses any closed-form expression from
-the analytic module.
+mode) or a rectangular grid |n1, n2> (two modes).  The Hamiltonian
+sum_k omega_k (n_k + 1/2) is diagonal and separable, so evolution multiplies
+the coefficients by one phase vector e^{-i omega_k (n + 1/2) t} per mode, and
+the mean energy sums omega_k (n + 1/2) against each mode's marginal of |c|^2;
+neither forms a grid of energies.  The total, dynamical, and geometric phases
+then come straight from their definitions: the argument of the endpoint
+overlap, the conserved-energy value -<H> tau, and their difference.
+oracle_phases is the one path that evolves a state and forms all three;
+oracle_geometric_phase reads its geometric phase.  The dynamical phase also
+has a kinematic form that reads only the states along a sampled path, the
+discrete connection sum of arg <psi_k|psi_{k+1}>.  Nothing here uses any
+closed-form expression from the analytic module, and no step after a build
+uses the two-branch structure of the state it built.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -75,9 +80,11 @@ class OracleConfig:
     trunc_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.n_max_override is not None:
-            if not isinstance(self.n_max_override, int) or self.n_max_override < 1:
-                raise ValueError(f"n_max_override must be a positive integer, got {self.n_max_override!r}")
+        n = self.n_max_override
+        if n is not None:
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValueError(f"n_max_override must be a positive integer, got {n!r}")
+            object.__setattr__(self, "n_max_override", int(n))
         if not 0.0 < self.trunc_tol < 1.0:
             raise ValueError(f"trunc_tol must lie in (0, 1), got {self.trunc_tol!r}")
 
@@ -87,18 +94,29 @@ class TruncatedState:
     """Complex amplitudes over a truncated number basis, one or two modes.
 
     coeffs has shape (n_max[0] + 1,) or (n_max[0] + 1, n_max[1] + 1) and is
-    stored read-only; builders hand out states normalized to within their
-    truncation tolerance.
+    stored read-only.  The constructor copies the array it is given, so the
+    caller's array stays its own and stays writable; the oracle's steps hand
+    over arrays they just allocated through _adopt, which skips that copy.
+    Builders hand out states normalized to within their truncation tolerance.
     """
 
     coeffs: np.ndarray
     n_max: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=complex)
+        self._store(np.array(self.coeffs, dtype=complex), self.n_max)
+
+    @classmethod
+    def _adopt(cls, coeffs: np.ndarray, n_max: tuple[int, ...]) -> TruncatedState:
+        """State over a complex array nothing else references, frozen in place, not copied."""
+        state = object.__new__(cls)
+        state._store(coeffs, n_max)
+        return state
+
+    def _store(self, arr: np.ndarray, n_max: tuple[int, ...]) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "n_max", tuple(int(n) for n in self.n_max))
+        object.__setattr__(self, "n_max", tuple(int(n) for n in n_max))
         if not 1 <= len(self.n_max) <= 2:
             raise ValueError("n_max must describe one or two modes")
         if any(n < 1 for n in self.n_max):
@@ -125,17 +143,24 @@ def poisson_tail(mean: float, cutoff: int) -> float:
 def fock_cutoff(rho: float, tail_bound: float) -> int:
     """Smallest cutoff whose Poisson(rho^2) tail mass stays below tail_bound.
 
-    The search starts at FOCK_FLOOR and raises CapacityError past FOCK_CAP.
+    The search starts at max(FOCK_FLOOR, ceil(rho^2)) and raises CapacityError
+    past FOCK_CAP.  The first candidate is checked alone, since it passes for
+    every desk-scale amplitude; past it the tails of a window of candidates
+    come from one vectorized gammainc call, and a window of about ten standard
+    deviations nearly always holds the answer.
     """
     mean = rho * rho
     n = max(FOCK_FLOOR, math.ceil(mean))
-    while poisson_tail(mean, n) >= tail_bound:
-        if n >= FOCK_CAP:
-            raise CapacityError(
-                f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}"
-            )
-        n += 1
-    return n
+    if not poisson_tail(mean, n) >= tail_bound:
+        return n
+    width = max(FOCK_FLOOR, math.ceil(10.0 * rho))
+    while n < FOCK_CAP:
+        candidates = np.arange(n + 1, min(n + width, FOCK_CAP) + 1)
+        passing = np.flatnonzero(~(special.gammainc(candidates + 1, mean) >= tail_bound))
+        if passing.size:
+            return int(candidates[passing[0]])
+        n = int(candidates[-1])
+    raise CapacityError(f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}")
 
 
 def _resolve_cutoff(rhos: Sequence[float], config: OracleConfig) -> int:
@@ -172,7 +197,7 @@ def build_coherent(alpha: CoherentParam, config: OracleConfig | None = None) -> 
     """Truncated coherent state; the squared-norm deficit stays below trunc_tol."""
     config = config or OracleConfig()
     n = _resolve_cutoff([alpha.rho], config)
-    return TruncatedState(coherent_amplitudes(alpha, n), (n,))
+    return TruncatedState._adopt(coherent_amplitudes(alpha, n), (n,))
 
 
 def build_entangled(spec: EntangledSpec, config: OracleConfig | None = None) -> TruncatedState:
@@ -180,20 +205,27 @@ def build_entangled(spec: EntangledSpec, config: OracleConfig | None = None) -> 
 
     The per-mode cutoff covers the tails of both labels living on that mode;
     the normalization constant is the numerically computed vector norm, taken
-    positive real.
+    positive real.  Each branch weight scales the branch's first-mode vector,
+    and the sum of the two outer products is one (n1 + 1) x 2 by 2 x (n2 + 1)
+    matrix product, so the grid is the only one allocated; it is normalized
+    in place.
     """
     config = config or OracleConfig()
     n1 = _resolve_cutoff([spec.alpha.rho, spec.beta.rho], config)
     n2 = _resolve_cutoff([spec.mu.rho, spec.nu.rho], config)
-    branch1 = np.outer(coherent_amplitudes(spec.alpha, n1), coherent_amplitudes(spec.mu, n2))
-    branch2 = np.outer(coherent_amplitudes(spec.beta, n1), coherent_amplitudes(spec.nu, n2))
     half = 0.5 * spec.theta
-    grid = (
-        np.exp(-0.5j * spec.varphi) * math.cos(half) * branch1
-        + np.exp(0.5j * spec.varphi) * math.sin(half) * branch2
+    first_mode = np.stack(
+        [
+            np.exp(-0.5j * spec.varphi) * math.cos(half) * coherent_amplitudes(spec.alpha, n1),
+            np.exp(0.5j * spec.varphi) * math.sin(half) * coherent_amplitudes(spec.beta, n1),
+        ],
+        axis=1,
     )
+    second_mode = np.stack([coherent_amplitudes(spec.mu, n2), coherent_amplitudes(spec.nu, n2)])
+    grid = first_mode @ second_mode
     nsq = _checked_norm_squared(float(np.vdot(grid, grid).real))
-    return TruncatedState(grid / math.sqrt(nsq), (n1, n2))
+    grid *= 1.0 / math.sqrt(nsq)
+    return TruncatedState._adopt(grid, (n1, n2))
 
 
 def _mode_frequencies(omegas: OmegaLike, modes: int) -> tuple[float, ...]:
@@ -203,20 +235,24 @@ def _mode_frequencies(omegas: OmegaLike, modes: int) -> tuple[float, ...]:
     return tuple(_checked_nonnegative("omega", w) for w in ws)
 
 
-def _energy_grid(state: TruncatedState, ws: tuple[float, ...]) -> np.ndarray:
-    """Diagonal energies omega (n + 1/2) summed over modes, shaped like coeffs."""
-    levels = [w * (np.arange(n + 1) + 0.5) for w, n in zip(ws, state.n_max)]
-    if state.modes == 1:
-        return levels[0]
-    return levels[0][:, None] + levels[1][None, :]
+def _mode_levels(state: TruncatedState, omegas: OmegaLike) -> list[np.ndarray]:
+    """Each mode's energies omega (n + 1/2) for n = 0 .. n_max, one vector per mode."""
+    ws = _mode_frequencies(omegas, state.modes)
+    return [w * (np.arange(n + 1) + 0.5) for w, n in zip(ws, state.n_max)]
 
 
 def evolve(state: TruncatedState, omegas: OmegaLike, t: float) -> TruncatedState:
-    """Advance the state by time t: each amplitude picks up e^{-i omega (n + 1/2) t}."""
+    """Advance the state by time t: each amplitude picks up e^{-i omega (n + 1/2) t} per mode.
+
+    The Hamiltonian is separable, so the grid's phase factor is the product
+    of one phase vector per mode; they multiply into one new array.
+    """
     t = _checked_finite("t", t)
-    ws = _mode_frequencies(omegas, state.modes)
-    phases = np.exp(-1j * t * _energy_grid(state, ws))
-    return TruncatedState(state.coeffs * phases, state.n_max)
+    first, *rest = (np.exp(-1j * t * levels) for levels in _mode_levels(state, omegas))
+    coeffs = state.coeffs * first.reshape(first.shape + (1,) * len(rest))
+    for phases in rest:
+        coeffs *= phases
+    return TruncatedState._adopt(coeffs, state.n_max)
 
 
 def state_overlap(first: TruncatedState, second: TruncatedState) -> complex:
@@ -227,11 +263,16 @@ def state_overlap(first: TruncatedState, second: TruncatedState) -> complex:
 
 
 def mean_energy(state: TruncatedState, omegas: OmegaLike) -> float:
-    """Expectation of the diagonal Hamiltonian, conserved under evolve."""
-    ws = _mode_frequencies(omegas, state.modes)
-    energies = _energy_grid(state, ws)
-    mags = state.coeffs.real**2 + state.coeffs.imag**2
-    return float((energies * mags).sum())
+    """Expectation of the diagonal Hamiltonian, conserved under evolve.
+
+    <H> = sum_k sum_n omega_k (n + 1/2) P_k(n), where P_k is mode k's marginal
+    of the number distribution |c|^2.
+    """
+    levels = _mode_levels(state, omegas)
+    probs = np.abs(state.coeffs)
+    probs *= probs
+    marginals = [probs.sum(axis=1), probs.sum(axis=0)] if state.modes == 2 else [probs]
+    return sum(float(np.dot(energies, p)) for energies, p in zip(levels, marginals))
 
 
 def oracle_total_phase(initial: TruncatedState, final: TruncatedState) -> float:

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
-from bargmann import extrapolated_dynamical_phase
+from bargmann import extrapolated_dynamical_phase, gauge_twist
 from cohphase import (
     CapacityError,
     CoherentParam,
@@ -33,9 +35,48 @@ from cohphase import (
     quadrature_dynamical_phase,
     state_overlap,
 )
-from cohphase.oracle import FOCK_CAP
+from cohphase.oracle import FOCK_CAP, FOCK_FLOOR
 
 PI = math.pi
+
+
+def sequential_cutoff(rho, tail_bound):
+    """Reference search: one Poisson tail per step from max(FOCK_FLOOR, ceil(rho^2)) up to FOCK_CAP."""
+    mean = rho * rho
+    n = max(FOCK_FLOOR, math.ceil(mean))
+    while poisson_tail(mean, n) >= tail_bound:
+        if n >= FOCK_CAP:
+            raise CapacityError(f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}")
+        n += 1
+    return n
+
+
+def cutoff_outcome(search, rho, tail_bound):
+    try:
+        return search(rho, tail_bound)
+    except CapacityError as exc:
+        return str(exc)
+
+
+def dense_energies(state, omegas):
+    """sum_k omega_k (n_k + 1/2) on the full grid of the state's basis."""
+    omegas = np.atleast_1d(omegas)
+    grids = np.meshgrid(*(np.arange(n + 1) + 0.5 for n in state.n_max), indexing="ij")
+    return sum(w * g for w, g in zip(omegas, grids))
+
+
+def reference_states():
+    """One mode, a two-branch grid, and that grid with every row given its own phase."""
+    rng = np.random.default_rng(8)
+    entangled = build_entangled(
+        EntangledSpec.antipodal(CoherentParam(1.2, 0.4), CoherentParam(0.9, 2.1), 1.1, 0.6)
+    )
+    twisted = gauge_twist(entangled.coeffs, rng.uniform(0.0, 2.0 * PI, entangled.coeffs.shape[0]))
+    return [
+        (build_coherent(CoherentParam(1.4, 0.9)), 1.3),
+        (entangled, (1.1, 0.7)),
+        (TruncatedState(twisted, entangled.n_max), (0.8, 1.9)),
+    ]
 
 
 class TestCutoff:
@@ -63,6 +104,28 @@ class TestCutoff:
         with pytest.raises(CapacityError, match="exceeds the cap"):
             build_coherent(CoherentParam(1.0), OracleConfig(n_max_override=FOCK_CAP + 1))
 
+    @pytest.mark.parametrize("tail_bound", [1e-12, 1e-6, 1e-15])
+    def test_matches_sequential_search(self, tail_bound):
+        rhos = np.concatenate([np.linspace(0.0, 60.0, 241), np.random.default_rng(3).uniform(0.0, 60.0, 40)])
+        for rho in rhos:
+            assert fock_cutoff(rho, tail_bound) == sequential_cutoff(rho, tail_bound), rho
+
+    def test_capacity_error_matches_sequential_search(self):
+        # the 1e-12 cutoff is FOCK_CAP on about [60.513, 60.520]; past rho = 64 even the first
+        # candidate, ceil(rho^2), lies above the cap
+        rhos = [*np.linspace(60.4, 61.0, 25), 60.515, 60.52, 60.521, 64.0, 64.1, 80.0]
+        outcomes = [cutoff_outcome(fock_cutoff, rho, 1e-12) for rho in rhos]
+        assert outcomes == [cutoff_outcome(sequential_cutoff, rho, 1e-12) for rho in rhos]
+        assert FOCK_CAP in outcomes
+        assert outcomes[-1] == f"amplitude rho=80.0 needs a Fock cutoff above the cap {FOCK_CAP}"
+
+    def test_desk_cutoff_is_one_tail(self, monkeypatch):
+        calls = []
+        gammainc = special.gammainc
+        monkeypatch.setattr(special, "gammainc", lambda a, x: calls.append(a) or gammainc(a, x))
+        assert fock_cutoff(1.5, 1e-12) == FOCK_FLOOR
+        assert calls == [FOCK_FLOOR + 1]
+
     def test_poisson_tail_monotone(self):
         tails = [poisson_tail(4.0, n) for n in range(4, 40)]
         assert all(a >= b for a, b in zip(tails, tails[1:]))
@@ -75,11 +138,19 @@ class TestCutoff:
             {"trunc_tol": 0.0},
             {"trunc_tol": 1.0},
             {"trunc_tol": math.nan},
+            {"n_max_override": True},
+            {"n_max_override": 40.0},
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             OracleConfig(**kwargs)
+
+    def test_numpy_integer_override(self):
+        config = OracleConfig(n_max_override=np.int64(40))
+        assert config.n_max_override == 40
+        assert type(config.n_max_override) is int
+        assert build_coherent(CoherentParam(1.0), config).n_max == (40,)
 
 
 class TestBuildCoherent:
@@ -110,6 +181,14 @@ class TestBuildCoherent:
         state = build_coherent(CoherentParam(1.0))
         with pytest.raises(ValueError):
             state.coeffs[0] = 0.0
+
+    def test_caller_array_is_copied(self):
+        coeffs = coherent_amplitudes(CoherentParam(1.0), 32)
+        state = TruncatedState(coeffs, (32,))
+        assert coeffs.flags.writeable
+        assert not np.shares_memory(coeffs, state.coeffs)
+        coeffs[0] = 0.0
+        assert state.coeffs[0] == pytest.approx(math.exp(-0.5), rel=1e-14)
 
 
 class TestBuildEntangled:
@@ -195,6 +274,45 @@ class TestEvolve:
         state = build_coherent(CoherentParam(1.0))
         with pytest.raises(ValueError):
             evolve(state, -1.0, 1.0)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_matches_dense_definition(self, index):
+        state, omegas = reference_states()[index]
+        for t in (0.3, 2.9, 7.4):
+            expected = state.coeffs * np.exp(-1j * t * dense_energies(state, omegas))
+            assert np.abs(evolve(state, omegas, t).coeffs - expected).max() < 1e-13
+
+
+class TestMeanEnergy:
+    @pytest.mark.parametrize("index", range(3))
+    def test_matches_dense_definition(self, index):
+        state, omegas = reference_states()[index]
+        expected = float((dense_energies(state, omegas) * np.abs(state.coeffs) ** 2).sum())
+        assert abs(mean_energy(state, omegas) - expected) < 1e-13 * expected
+
+
+class TestMemory:
+    """Peak allocation of one oracle_phases call, in grids of the rho = 24 antipodal state."""
+
+    spec = EntangledSpec.antipodal(CoherentParam(24.0, 0.3), CoherentParam(24.0, 1.7), 1.2, 0.5)
+    omegas, tau = (2.0 * PI, 2.0 * PI + 1e-3), 1.0
+
+    def peak_grids(self, subject, grid_bytes):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            oracle_phases(subject, self.omegas, self.tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - start) / grid_bytes
+
+    def test_peaks(self):
+        state = build_entangled(self.spec)
+        assert state.n_max == (753, 753)
+        grid_bytes = state.coeffs.nbytes
+        assert self.peak_grids(state, grid_bytes) <= 1.5
+        assert self.peak_grids(self.spec, grid_bytes) <= 2.5
 
 
 class TestOracleTotalPhase:
