@@ -14,23 +14,26 @@ reduction switches off the second potential (omega2 = 0).
 
 Each overlap is exp of an exponent summed over modes before exponentiating;
 its real part is never positive, so no amplitude makes a term overflow.
-Labels whose squared amplitudes sum beyond the float range, and dynamical
-phases beyond it, raise ValueError instead of returning NaN or inf.
-Quantities defined through an argument of a complex number (the total phases
-and the leading arctangent terms of the antipodal forms) are principal values
-in (-pi, pi]; everything else is returned unwrapped.
+Labels whose squared amplitudes sum beyond the float range, evolution angles
+omega tau beyond it, and dynamical phases beyond it raise ValueError instead
+of returning NaN or inf.  Quantities defined through an argument of a complex
+number (the total phases and the leading arctangent terms of the antipodal
+forms) are principal values in (-pi, pi]; everything else is returned
+unwrapped.
 
-Each kernel has an array form beside it, named after it with `_rows`, for a
-whole sweep grid at once.  An array form takes the same inputs, any of which
-may be a numpy array over rows, already checked by its caller, who runs it
-under np.errstate(all="ignore").  It repeats the scalar kernel's float
-operations in CPython's order, complex products and quotients included, so
-each row is bit for bit the scalar value: libm's exp, cos and sin come from
-numpy's complex exp, |z| from np.hypot and arguments from math.atan2 per row
-(np.abs, np.arctan2 and real np.exp may differ from them in the last bit).
-Rows where the scalar kernel raises are tracked by `_Rows`:
-DegenerateStateError and UndefinedTotalPhaseError rows come back as masks,
-and any other exception is raised for the first row that meets it.
+Each kernel is written once and runs on two number types, chosen by its op
+set `ops`: exp, rect, cos, sin, x**2, the constant 0.5j and the domain
+checks.  For a point (the public functions) the inputs are Python floats
+and complex numbers, and the op set `_Point` is math and cmath with checks
+that raise.  For a sweep grid any input may be a numpy array over rows,
+complex values are `_ComplexRows`, and the op set is the grid's `_Rows`.
+`_ComplexRows` repeats CPython's complex arithmetic operation by operation,
+and `_Rows` takes exp, cos and sin from numpy's complex exp (libm's), |z|
+from np.hypot, and x**2 and arguments from Python per row, so each row is
+bit for bit the point value.  A check that raises for a point ends the row
+on a grid: DegenerateStateError and UndefinedTotalPhaseError rows are
+collected as masks, and any other exception is raised for the first row
+that meets it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .core import (
     _checked_norm_squared,
     _defined_phase,
     _degenerate,
-    _opposite,
     _orthogonal,
 )
 
@@ -85,110 +87,100 @@ def _check_single_mode(omega: float, tau: float) -> tuple[float, float]:
     return omega, _checked_nonnegative("tau", tau)
 
 
-def _abs2(label: complex) -> float:
-    # the real part of conj(z) z, bit for bit, so a same-label exponent is exactly 0 at tau = 0
-    return (label.conjugate() * label).real
-
-
 _SCALE_ERROR = "label amplitudes too large: their squares sum beyond the float range"
+_ANGLE_ERROR = "evolution angle beyond the float range: omega tau overflows"
 _DYNAMICAL_ERROR = "dynamical phase beyond the float range: omega tau rho^2 overflows"
 _ANTIPODAL_ERROR = "spec must satisfy beta = -alpha and nu = -mu"
 
 
-def _checked_scale(total: float) -> float:
-    """A sum of squared label amplitudes; past the float range no overlap exponent exists."""
-    if not math.isfinite(total):
-        raise ValueError(_SCALE_ERROR)
-    return total
+class _Point:
+    """The op set of one point: Python numbers, math and cmath; a failed domain check raises.
 
-
-def _mode_exponent(bra: complex, ket: complex, wt: float) -> complex:
-    """Exponent of the one-mode overlap <bra, 0|ket, tau> at omega tau = wt.
-
-    -(|bra|^2 + |ket|^2)/2 + conj(bra) ket e^{-i wt} - i wt/2; the real part
-    equals -|bra - ket e^{-i wt}|^2 / 2, never positive.  Halving each square
-    before adding keeps the damping finite while |bra|^2 and |ket|^2 are;
-    past that it raises ValueError.
-    """
-    damp = _checked_scale(0.5 * _abs2(bra) + 0.5 * _abs2(ket))
-    return bra.conjugate() * ket * cmath.rect(1.0, -wt) - damp - 0.5j * wt
-
-
-class _Rows:
-    """Which rows of an array form still run, and what each failed row raises.
-
-    An array form runs its scalar kernel's steps in order over all rows.  A
-    step ends the rows on which the scalar kernel raises: `stop` ends those
-    whose exception a sweep turns into empty cells and returns them as a
-    mask; `fail` ends the others with their exception.  Ended rows take no
-    part in later steps, so a failed row keeps the first exception the scalar
-    kernel meets there, and `raise_first` raises that of the lowest row, as a
-    row-by-row loop would.
+    finite(value, message) and require(ok, message) raise ValueError(message);
+    norm_squared and phase raise DegenerateStateError and UndefinedTotalPhaseError.
     """
 
-    def __init__(self, count: int) -> None:
-        self.live = np.ones(count, dtype=bool)
-        self._failures: list[tuple[int, Exception]] = []
+    half_i = 0.5j
+    exp = cmath.exp
+    rect = cmath.rect
+    cos = math.cos
+    sin = math.sin
+    norm_squared = staticmethod(_checked_norm_squared)
+    phase = staticmethod(_defined_phase)
+    triple = PhaseTriple
 
-    def stop(self, rows: np.ndarray) -> np.ndarray:
-        rows = rows & self.live
-        self.live &= ~rows
-        return rows
+    @staticmethod
+    def square(value: float) -> float:
+        return value**2
 
-    def fail(self, rows: np.ndarray, error: Exception) -> None:
-        rows = self.stop(rows)
-        if rows.any():
-            self._failures.append((int(rows.argmax()), error))
+    @staticmethod
+    def finite(value: float, message: str) -> float:
+        if not math.isfinite(value):
+            raise ValueError(message)
+        return value
 
-    def raise_first(self) -> None:
-        if self._failures:
-            raise min(self._failures, key=lambda failure: failure[0])[1]
+    @staticmethod
+    def require(ok: bool, message: str) -> None:
+        if not ok:
+            raise ValueError(message)
 
 
-def _scalar_rows(fn: Callable, special: np.ndarray, rows: _Rows, *args) -> dict[int, object]:
-    """fn(*args) row by row on the live rows of `special`, as {row: value}.
+def _parts(value) -> tuple:
+    """(real, imag) of a complex value; a real operand is (x, 0.0), as CPython converts it."""
+    if isinstance(value, (_ComplexRows, complex)):
+        return value.real, value.imag
+    return value, 0.0
 
-    The array forms send here the rows a numpy ufunc cannot stand in for
-    (non-finite or rescaled arguments), so that these rows raise exactly
-    where the scalar function does; a row where fn raises fails with it.
+
+class _ComplexRows:
+    """Complex numbers over rows: float arrays (real, imag) under CPython's complex arithmetic.
+
+    Each operation is CPython's (3.10 to 3.13), in its order: a real operand
+    takes part as (x, 0.0), products as (ar br - ai bi, ar bi + ai br), and a
+    quotient by a real divisor by Smith's algorithm.  numpy's complex multiply
+    rounds differently in the last bit, so it is not used.  numpy defers to
+    this type (`__array_ufunc__ = None`), so an array on the left of an
+    operator lands here too.  Float addition and multiplication commute bit
+    for bit, so the reflected operators are the plain ones.
     """
-    special = special & rows.live
-    values: dict[int, object] = {}
-    if special.any():
-        args = np.broadcast_arrays(*args, special)[:-1]
-        for row in np.flatnonzero(special):
-            try:
-                values[row] = fn(*(arg[row].item() for arg in args))
-            except (ArithmeticError, ValueError) as exc:
-                rows.fail(np.arange(special.size) == row, exc)
-    return values
 
+    __slots__ = ("real", "imag")
+    __array_ufunc__ = None
 
-# Complex numbers over rows are (real, imag) pairs of float arrays, and a float
-# operand x of complex arithmetic is (x, 0.0), as CPython converts it.  numpy's
-# complex multiply rounds differently from CPython's in the last bit, so the
-# products are spelt out in CPython's order.
-def _cmul(a: tuple, b: tuple) -> tuple:
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+    def __init__(self, real, imag) -> None:
+        self.real = real
+        self.imag = imag
 
+    def conjugate(self) -> _ComplexRows:
+        return _ComplexRows(self.real, -self.imag)
 
-def _cadd(a: tuple, b: tuple) -> tuple:
-    return a[0] + b[0], a[1] + b[1]
+    def __neg__(self) -> _ComplexRows:
+        return _ComplexRows(-self.real, -self.imag)
 
+    def __abs__(self) -> np.ndarray:
+        return np.hypot(self.real, self.imag)
 
-def _csub(a: tuple, b: tuple) -> tuple:
-    return a[0] - b[0], a[1] - b[1]
+    def __add__(self, other) -> _ComplexRows:
+        re, im = _parts(other)
+        return _ComplexRows(self.real + re, self.imag + im)
 
+    __radd__ = __add__
 
-def _conj(a: tuple) -> tuple:
-    return a[0], -a[1]
+    def __sub__(self, other) -> _ComplexRows:
+        re, im = _parts(other)
+        return _ComplexRows(self.real - re, self.imag - im)
 
+    def __mul__(self, other) -> _ComplexRows:
+        re, im = _parts(other)
+        return _ComplexRows(self.real * re - self.imag * im, self.real * im + self.imag * re)
 
-def _cdiv_real(a: tuple, x) -> tuple:
-    """a / x for a float x, as CPython divides by (x, 0.0) (Smith's algorithm)."""
-    ratio = 0.0 / x
-    denom = x + 0.0 * ratio
-    return (a[0] + a[1] * ratio) / denom, (a[1] - a[0] * ratio) / denom
+    __rmul__ = __mul__
+
+    def __truediv__(self, divisor) -> _ComplexRows:
+        """Division by a real divisor x, as CPython divides by (x, 0.0); the kernels divide by no other."""
+        ratio = 0.0 / divisor
+        denom = divisor + 0.0 * ratio
+        return _ComplexRows((self.real + self.imag * ratio) / denom, (self.imag - self.real * ratio) / denom)
 
 
 def _cis(x) -> tuple:
@@ -203,53 +195,130 @@ def _cis(x) -> tuple:
 _CMATH_RESCALE = math.log(sys.float_info.max / 4.0)
 
 
-def _exp_rows(z: tuple, rows: _Rows) -> tuple:
-    """cmath.exp over rows.
+class _Rows:
+    """The op set of a sweep grid, and which of its rows still run.
 
-    numpy's complex exp is libm's exp(re) (cos im, sin im), which is cmath.exp
-    for a finite exponent below cmath's rescaling threshold; the other live
-    rows go through cmath.exp itself, and fail where it raises.
+    The kernels run their steps in order over all rows.  A domain check ends
+    the rows on which the point would raise: norm_squared and phase end the
+    rows a sweep turns into empty cells and collect them in the `degenerate`
+    and `undefined` masks; the other checks end rows with their exception.
+    Ended rows take no part in later checks, so a failed row keeps the first
+    exception the point meets there, and `raise_first` raises that of the
+    lowest row, as a row-by-row loop would.  Callers run the kernels under
+    np.errstate(all="ignore"), since ended rows may overflow on the way.
     """
-    re, im = np.broadcast_arrays(*z)
-    arg = np.empty(re.shape, dtype=complex)
-    arg.real, arg.imag = re, im
-    out = np.exp(arg)
-    special = ~(np.isfinite(re) & np.isfinite(im) & (re <= _CMATH_RESCALE))
-    values = _scalar_rows(cmath.exp, special, rows, arg)
-    if values:
-        out = np.array(np.broadcast_to(out, rows.live.shape))
-        out[list(values)] = list(values.values())
-    return out.real, out.imag
 
+    half_i = _ComplexRows(0.0, 0.5)
 
-def _turn_rows(wt, rows: _Rows) -> tuple:
-    """cmath.rect(1.0, -wt) over rows; an infinite wt fails its row, as cmath.rect raises there."""
-    angle = -wt
-    _scalar_rows(lambda phi: cmath.rect(1.0, phi), ~np.isfinite(angle), rows, angle)
-    return _cis(angle)
+    def __init__(self, count: int) -> None:
+        self.live = np.ones(count, dtype=bool)
+        self.degenerate = np.zeros(count, dtype=bool)
+        self.undefined = np.zeros(count, dtype=bool)
+        self._failures: list[tuple[int, Exception]] = []
 
+    def _stop(self, rows: np.ndarray) -> np.ndarray:
+        rows = rows & self.live
+        self.live &= ~rows
+        return rows
 
-def _square_rows(x) -> np.ndarray:
-    """x**2 per row as float.__pow__ computes it; x * x differs in the last bit for about 1 in 1000."""
-    def square(value: float) -> float:
-        try:
-            return value**2
-        except OverflowError:  # only on rows that failed their scale check
-            return math.inf
+    def _fail(self, rows: np.ndarray, error: Exception) -> None:
+        rows = self._stop(rows)
+        if rows.any():
+            self._failures.append((int(rows.argmax()), error))
 
-    return np.array([square(value) for value in np.ravel(x).tolist()]).reshape(np.shape(x))
+    def raise_first(self) -> None:
+        if self._failures:
+            raise min(self._failures, key=lambda failure: failure[0])[1]
+
+    def _each(self, fn: Callable, special: np.ndarray, *args) -> dict[int, object]:
+        """fn(*args) row by row on the live rows of `special`, as {row: value}.
+
+        For the rows a numpy ufunc cannot stand in for, so that they raise
+        exactly where the point does; a row where fn raises fails with it.
+        """
+        special = special & self.live
+        values: dict[int, object] = {}
+        if special.any():
+            args = np.broadcast_arrays(*args, special)[:-1]
+            for row in np.flatnonzero(special):
+                try:
+                    values[row] = fn(*(arg[row].item() for arg in args))
+                except (ArithmeticError, ValueError) as exc:
+                    self._fail(np.arange(special.size) == row, exc)
+        return values
+
+    def exp(self, z) -> _ComplexRows:
+        """cmath.exp over rows.
+
+        numpy's complex exp is libm's exp(re) (cos im, sin im), which is
+        cmath.exp for a finite exponent below cmath's rescaling threshold;
+        the other live rows go through cmath.exp itself, and fail where it
+        raises.
+        """
+        re, im = np.broadcast_arrays(*_parts(z))
+        arg = np.empty(re.shape, dtype=complex)
+        arg.real, arg.imag = re, im
+        out = np.exp(arg)
+        special = ~(np.isfinite(re) & np.isfinite(im) & (re <= _CMATH_RESCALE))
+        values = self._each(cmath.exp, special, arg)
+        if values:
+            out = np.array(np.broadcast_to(out, self.live.shape))
+            out[list(values)] = list(values.values())
+        return _ComplexRows(out.real, out.imag)
+
+    def rect(self, r, phi) -> _ComplexRows:
+        """cmath.rect over rows, for the finite arguments the checks let through."""
+        cos_phi, sin_phi = _cis(phi)
+        return _ComplexRows(r * cos_phi, r * sin_phi)
+
+    def cos(self, x):
+        return _cis(x)[0]
+
+    def sin(self, x):
+        return _cis(x)[1]
+
+    def square(self, x) -> np.ndarray:
+        """x**2 per row as float.__pow__ computes it; x * x differs in the last bit for about 1 in 1000."""
+        def square(value: float) -> float:
+            try:
+                return value**2
+            except OverflowError:  # only on rows that failed their scale check
+                return math.inf
+
+        return np.array([square(value) for value in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+    def finite(self, value, message: str):
+        self._fail(~np.isfinite(value), ValueError(message))
+        return value
+
+    def require(self, ok, message: str) -> None:
+        self._fail(~ok, ValueError(message))
+
+    def norm_squared(self, value):
+        self.degenerate |= self._stop(_degenerate(value))
+        return value
+
+    def phase(self, overlap: _ComplexRows) -> np.ndarray:
+        """overlap_phase over rows; NaN on ended rows."""
+        self.undefined |= self._stop(_orthogonal(abs(overlap)))
+        live = self.live
+        re, im = (np.broadcast_to(part, live.shape)[live] for part in (overlap.real, overlap.imag))
+        phase = np.full(live.shape, math.nan)
+        phase[live] = list(map(math.atan2, im.tolist(), re.tolist()))
+        return phase
+
+    def triple(self, total, dynamical, geometric) -> tuple:
+        """PhaseTriple's finiteness check over rows; the phases come back as a tuple."""
+        finite = np.isfinite(total) & np.isfinite(dynamical) & np.isfinite(geometric)
+        self._each(PhaseTriple, ~finite, total, dynamical, geometric)
+        return total, dynamical, geometric
 
 
 class _ParamRows(NamedTuple):
-    """A CoherentParam over rows: rho, and the label cmath.rect(rho, phi) as (real, imag)."""
+    """A CoherentParam over rows: rho, and its label rect(rho, phi)."""
 
     rho: object
-    label: tuple
-
-
-def _param_rows(rho, phi) -> _ParamRows:
-    cos_phi, sin_phi = _cis(phi)
-    return _ParamRows(rho, (rho * cos_phi, rho * sin_phi))
+    label: object
 
 
 class _SpecRows(NamedTuple):
@@ -262,17 +331,34 @@ class _SpecRows(NamedTuple):
     theta: object
     varphi: object
 
-
-def _abs2_rows(label: tuple):
-    return _cmul(_conj(label), label)[0]
+    is_antipodal = EntangledSpec.is_antipodal
 
 
-def _mode_exponent_rows(bra: tuple, ket: tuple, wt, rows: _Rows) -> tuple:
-    """_mode_exponent over rows."""
-    damp = 0.5 * _abs2_rows(bra) + 0.5 * _abs2_rows(ket)
-    rows.fail(~np.isfinite(damp), ValueError(_SCALE_ERROR))
-    product = _cmul(_cmul(_conj(bra), ket), _turn_rows(wt, rows))
-    return _csub(_csub(product, (damp, 0.0)), _cmul((0.0, 0.5), (wt, 0.0)))
+def _abs2(label: complex) -> float:
+    # the real part of conj(z) z, bit for bit, so a same-label exponent is exactly 0 at tau = 0
+    return (label.conjugate() * label).real
+
+
+def _turn(wt: float, ops=_Point) -> complex:
+    """e^{-i wt}, the rotation of a label after omega tau = wt; raises ValueError for an infinite wt."""
+    return ops.rect(1.0, -ops.finite(wt, _ANGLE_ERROR))
+
+
+def _mode_exponent(bra: complex, ket: complex, wt: float, turn: complex, ops=_Point) -> complex:
+    """Exponent of the one-mode overlap <bra, 0|ket, tau> at omega tau = wt, turn = _turn(wt).
+
+    -(|bra|^2 + |ket|^2)/2 + conj(bra) ket e^{-i wt} - i wt/2; the real part
+    equals -|bra - ket e^{-i wt}|^2 / 2, never positive.  Halving each square
+    before adding keeps the damping finite while |bra|^2 and |ket|^2 are;
+    past that it raises ValueError.
+    """
+    damp = ops.finite(0.5 * _abs2(bra) + 0.5 * _abs2(ket), _SCALE_ERROR)
+    return bra.conjugate() * ket * turn - damp - ops.half_i * wt
+
+
+def _mode_overlap(bra: complex, ket: complex, wt: float, ops=_Point) -> complex:
+    """The one-mode overlap <bra, 0|ket, tau> at omega tau = wt, for labels bra and ket."""
+    return ops.exp(_mode_exponent(bra, ket, wt, _turn(wt, ops), ops))
 
 
 def single_overlap(alpha: CoherentParam, omega: float, tau: float) -> complex:
@@ -283,12 +369,7 @@ def single_overlap(alpha: CoherentParam, omega: float, tau: float) -> complex:
     """
     omega, tau = _check_single_mode(omega, tau)
     label = alpha.label
-    return cmath.exp(_mode_exponent(label, label, omega * tau))
-
-
-def _single_overlap_rows(alpha: _ParamRows, omega: float, tau, rows: _Rows) -> tuple:
-    """single_overlap over rows, for an omega and tau the caller checked."""
-    return _exp_rows(_mode_exponent_rows(alpha.label, alpha.label, omega * tau, rows), rows)
+    return _mode_overlap(label, label, omega * tau)
 
 
 def single_phases(alpha: CoherentParam, omega: float, tau: float) -> PhaseTriple:
@@ -301,26 +382,16 @@ def single_phases(alpha: CoherentParam, omega: float, tau: float) -> PhaseTriple
     The geometric value reduces to 2 pi rho^2 per full cycle omega tau = 2 pi.
     """
     omega, tau = _check_single_mode(omega, tau)
-    wt = omega * tau
-    rho2 = alpha.rho * alpha.rho
-    total = -(rho2 * math.sin(wt) + 0.5 * wt)
-    dynamical = -wt * (0.5 + rho2)
-    geometric = rho2 * (wt - math.sin(wt))
-    return PhaseTriple(total, dynamical, geometric)
+    return _single_phases(alpha, omega * tau)
 
 
-def _single_phases_rows(alpha: _ParamRows, omega: float, tau, rows: _Rows) -> tuple:
-    """single_phases over rows, as (total, dynamical, geometric), for an omega and tau the caller checked."""
-    wt = omega * tau
-    _scalar_rows(math.sin, ~np.isfinite(wt), rows, wt)
-    sin_wt = _cis(wt)[1]
+def _single_phases(alpha: CoherentParam, wt: float, ops=_Point) -> PhaseTriple:
+    sin_wt = ops.sin(ops.finite(wt, _ANGLE_ERROR))
     rho2 = alpha.rho * alpha.rho
     total = -(rho2 * sin_wt + 0.5 * wt)
     dynamical = -wt * (0.5 + rho2)
     geometric = rho2 * (wt - sin_wt)
-    finite = np.isfinite(total) & np.isfinite(dynamical) & np.isfinite(geometric)
-    _scalar_rows(PhaseTriple, ~finite, rows, total, dynamical, geometric)
-    return total, dynamical, geometric
+    return ops.triple(total, dynamical, geometric)
 
 
 def unequal_time_overlap(bra: CoherentParam, ket: CoherentParam, omega: float, tau: float) -> complex:
@@ -333,7 +404,7 @@ def unequal_time_overlap(bra: CoherentParam, ket: CoherentParam, omega: float, t
     """
     omega = _checked_nonnegative("omega", omega)
     tau = _checked_nonnegative("tau", tau)
-    return cmath.exp(_mode_exponent(bra.label, ket.label, omega * tau))
+    return _mode_overlap(bra.label, ket.label, omega * tau)
 
 
 def overlap_phase(overlap: complex) -> float:
@@ -341,30 +412,14 @@ def overlap_phase(overlap: complex) -> float:
 
     The phase is undefined, and UndefinedTotalPhaseError is raised, when
     |overlap| < DEFAULT_OVERLAP_EPS; the oracle's oracle_total_phase applies
-    the same rule, from the same helper in core.  The two-argument
-    arctangent keeps the quadrant.
+    the same rule, from the same helper in core, and a sweep grid applies it
+    per row through `_Rows.phase`.  The two-argument arctangent keeps the
+    quadrant.
     """
     return _defined_phase(overlap)
 
 
-def _overlap_phase_rows(overlap: tuple, rows: _Rows) -> tuple:
-    """overlap_phase over rows: (phase, |overlap|, undefined mask); the phase is NaN on ended rows."""
-    magnitude = np.hypot(*overlap)
-    undefined = rows.stop(_orthogonal(magnitude))
-    live = rows.live
-    re, im = (np.broadcast_to(part, live.shape)[live] for part in overlap)
-    phase = np.full(live.shape, math.nan)
-    phase[live] = list(map(math.atan2, im.tolist(), re.tolist()))
-    return phase, magnitude, undefined
-
-
-def _checked_dynamical(value: float) -> float:
-    if not math.isfinite(value):
-        raise ValueError(_DYNAMICAL_ERROR)
-    return value
-
-
-def _branch_sum(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float, complex, float]:
+def _branch_sum(spec: EntangledSpec, w1t: float, w2t: float, ops=_Point) -> tuple[float, complex, float]:
     """(N^2, <psi(0)|psi(tau)>, <H> tau) of a two-branch state at omega_k tau = wkt.
 
     One loop over the branch pairs (i, j), with c_1 = cos(theta/2) e^{-i varphi/2},
@@ -373,20 +428,20 @@ def _branch_sum(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float, com
     + conj(m_i) m_j e^{-i omega2 tau} - i (omega1 + omega2) tau / 2
     of the product overlap, summed per mode before it is exponentiated.  The
     overlap and the energy are divided by N^2, which must exceed
-    DEFAULT_NORM_EPS (DegenerateStateError); labels or energies beyond the
-    float range raise ValueError.
+    DEFAULT_NORM_EPS (DegenerateStateError); labels, evolution angles or
+    energies beyond the float range raise ValueError.
     """
     a = (spec.alpha.label, spec.beta.label)
     m = (spec.mu.label, spec.nu.label)
     a2 = (_abs2(a[0]), _abs2(a[1]))
     m2 = (_abs2(m[0]), _abs2(m[1]))
-    _checked_scale(a2[0] + a2[1] + m2[0] + m2[1])
-    cos_t = math.cos(spec.theta)
-    cross = 0.5 * math.sin(spec.theta) * cmath.rect(1.0, spec.varphi)
+    ops.finite(a2[0] + a2[1] + m2[0] + m2[1], _SCALE_ERROR)
+    turn1 = _turn(w1t, ops)
+    turn2 = _turn(w2t, ops)
+    cos_t = ops.cos(spec.theta)
+    cross = 0.5 * ops.sin(spec.theta) * ops.rect(1.0, spec.varphi)
     weights = ((0.5 * (1.0 + cos_t), cross), (cross.conjugate(), 0.5 * (1.0 - cos_t)))
-    turn1 = cmath.rect(1.0, -w1t)
-    turn2 = cmath.rect(1.0, -w2t)
-    zero_point = 0.5j * (w1t + w2t)
+    zero_point = ops.half_i * (w1t + w2t)
 
     nsq = overlap = energy = 0j
     for i in (0, 1):
@@ -395,46 +450,12 @@ def _branch_sum(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float, com
             mn = m[i].conjugate() * m[j]
             damp1 = 0.5 * (a2[i] + a2[j])
             damp2 = 0.5 * (m2[i] + m2[j])
-            same_time = weights[i][j] * cmath.exp((ab - damp1) + (mn - damp2))
+            same_time = weights[i][j] * ops.exp((ab - damp1) + (mn - damp2))
             nsq += same_time
             energy += same_time * (w1t * (0.5 + ab) + w2t * (0.5 + mn))
-            overlap += weights[i][j] * cmath.exp((ab * turn1 - damp1) + (mn * turn2 - damp2) - zero_point)
-    nsq = _checked_norm_squared(nsq.real)
-    return nsq, overlap / nsq, _checked_dynamical(energy.real / nsq)
-
-
-def _branch_sum_rows(spec: _SpecRows, w1t, w2t, rows: _Rows) -> tuple:
-    """_branch_sum over rows: (N^2, <psi(0)|psi(tau)>, <H> tau, degenerate mask)."""
-    a = (spec.alpha.label, spec.beta.label)
-    m = (spec.mu.label, spec.nu.label)
-    a2 = (_abs2_rows(a[0]), _abs2_rows(a[1]))
-    m2 = (_abs2_rows(m[0]), _abs2_rows(m[1]))
-    rows.fail(~np.isfinite(a2[0] + a2[1] + m2[0] + m2[1]), ValueError(_SCALE_ERROR))
-    cos_t, sin_t = _cis(spec.theta)
-    cross = _cmul((0.5 * sin_t, 0.0), _cis(spec.varphi))
-    weights = (((0.5 * (1.0 + cos_t), 0.0), cross), (_conj(cross), (0.5 * (1.0 - cos_t), 0.0)))
-    turn1 = _turn_rows(w1t, rows)
-    turn2 = _turn_rows(w2t, rows)
-    zero_point = _cmul((0.0, 0.5), (w1t + w2t, 0.0))
-
-    nsq = overlap = energy = (0.0, 0.0)
-    for i in (0, 1):
-        for j in (0, 1):
-            ab = _cmul(_conj(a[i]), a[j])
-            mn = _cmul(_conj(m[i]), m[j])
-            damp1 = (0.5 * (a2[i] + a2[j]), 0.0)
-            damp2 = (0.5 * (m2[i] + m2[j]), 0.0)
-            same_time = _cmul(weights[i][j], _exp_rows(_cadd(_csub(ab, damp1), _csub(mn, damp2)), rows))
-            nsq = _cadd(nsq, same_time)
-            load = _cadd(_cmul((w1t, 0.0), _cadd((0.5, 0.0), ab)), _cmul((w2t, 0.0), _cadd((0.5, 0.0), mn)))
-            energy = _cadd(energy, _cmul(same_time, load))
-            moved = _cadd(_csub(_cmul(ab, turn1), damp1), _csub(_cmul(mn, turn2), damp2))
-            overlap = _cadd(overlap, _cmul(weights[i][j], _exp_rows(_csub(moved, zero_point), rows)))
-    nsq = nsq[0]
-    degenerate = rows.stop(_degenerate(nsq))
-    energy = energy[0] / nsq
-    rows.fail(~np.isfinite(energy), ValueError(_DYNAMICAL_ERROR))
-    return nsq, _cdiv_real(overlap, nsq), energy, degenerate
+            overlap += weights[i][j] * ops.exp((ab * turn1 - damp1) + (mn * turn2 - damp2) - zero_point)
+    nsq = ops.norm_squared(nsq.real)
+    return nsq, overlap / nsq, ops.finite(energy.real / nsq, _DYNAMICAL_ERROR)
 
 
 def norm_squared(spec: EntangledSpec) -> float:
@@ -472,7 +493,7 @@ def pair_geometric_phase(spec: EntangledSpec, modes: ModePair) -> float:
     return overlap_phase(overlap) + energy
 
 
-def _antipodal_parts(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float, float, float]:
+def _antipodal_parts(spec: EntangledSpec, w1t: float, w2t: float, ops=_Point) -> tuple[float, float, float]:
     """(N^2, delta_1, delta_2) of an antipodal spec at omega_k tau = wkt.
 
     N^2 = 1 + coupling, and delta_k as in antipodal_dynamical_parts; on the
@@ -480,41 +501,20 @@ def _antipodal_parts(spec: EntangledSpec, w1t: float, w2t: float) -> tuple[float
     Raises ValueError unless beta = -alpha and nu = -mu, and under
     _branch_sum's domain rules.
     """
-    if not spec.is_antipodal():
-        raise ValueError(_ANTIPODAL_ERROR)
+    ops.require(spec.is_antipodal(), _ANTIPODAL_ERROR)
     rho_a, rho_m = spec.alpha.rho, spec.mu.rho
-    _checked_scale(2.0 * (rho_a * rho_a + rho_m * rho_m))
-    ra2, rm2 = rho_a**2, rho_m**2
-    coupling = math.sin(spec.theta) * math.cos(spec.varphi) * math.exp(-2.0 * (ra2 + rm2))
-    nsq = _checked_norm_squared(1.0 + coupling)
+    ops.finite(2.0 * (rho_a * rho_a + rho_m * rho_m), _SCALE_ERROR)
+    ra2, rm2 = ops.square(rho_a), ops.square(rho_m)
+    coupling = ops.sin(spec.theta) * ops.cos(spec.varphi) * ops.exp(-2.0 * (ra2 + rm2)).real
+    nsq = ops.norm_squared(1.0 + coupling)
     delta1 = _antipodal_delta(w1t, ra2, coupling, nsq)
     delta2 = _antipodal_delta(w2t, rm2, coupling, nsq)
-    _checked_dynamical(delta1 + delta2)
+    ops.finite(delta1 + delta2, _DYNAMICAL_ERROR)
     return nsq, delta1, delta2
 
 
 def _antipodal_delta(wt: float, rho2: float, coupling: float, nsq: float) -> float:
     return -(wt * (0.5 + rho2) + coupling * wt * (0.5 - rho2)) / nsq
-
-
-def _antipodal_parts_rows(spec: _SpecRows, w1t, w2t, rows: _Rows) -> tuple:
-    """_antipodal_parts over rows: (N^2, delta_1, delta_2, degenerate mask)."""
-    # EntangledSpec.is_antipodal, row by row
-    beta_sum = np.hypot(*_cadd(spec.beta.label, spec.alpha.label))
-    nu_sum = np.hypot(*_cadd(spec.nu.label, spec.mu.label))
-    antipodal = _opposite(beta_sum, spec.alpha.rho) & _opposite(nu_sum, spec.mu.rho)
-    rows.fail(~antipodal, ValueError(_ANTIPODAL_ERROR))
-    rho_a, rho_m = spec.alpha.rho, spec.mu.rho
-    rows.fail(~np.isfinite(2.0 * (rho_a * rho_a + rho_m * rho_m)), ValueError(_SCALE_ERROR))
-    ra2, rm2 = _square_rows(rho_a), _square_rows(rho_m)
-    decay = _exp_rows((-2.0 * (ra2 + rm2), 0.0), rows)[0]
-    coupling = _cis(spec.theta)[1] * _cis(spec.varphi)[0] * decay
-    nsq = 1.0 + coupling
-    degenerate = rows.stop(_degenerate(nsq))
-    delta1 = _antipodal_delta(w1t, ra2, coupling, nsq)
-    delta2 = _antipodal_delta(w2t, rm2, coupling, nsq)
-    rows.fail(~np.isfinite(delta1 + delta2), ValueError(_DYNAMICAL_ERROR))
-    return nsq, delta1, delta2, degenerate
 
 
 def antipodal_dynamical_parts(spec: EntangledSpec, modes: ModePair) -> tuple[float, float]:
@@ -547,24 +547,19 @@ def antipodal_geometric_phase(spec: EntangledSpec, modes: ModePair) -> float:
     w1t = modes.omega1 * modes.tau
     w2t = modes.omega2 * modes.tau
     nsq, delta1, delta2 = _antipodal_parts(spec, w1t, w2t)
+    return overlap_phase(_antipodal_overlap(spec, w1t, w2t, nsq)) - (delta1 + delta2)
+
+
+def _antipodal_overlap(spec: EntangledSpec, w1t: float, w2t: float, nsq: float, ops=_Point) -> complex:
+    """The collapsed overlap of antipodal_geometric_phase, given _antipodal_parts's N^2."""
     a = spec.alpha.label
     m = spec.mu.label
-    same = cmath.exp(_mode_exponent(a, a, w1t) + _mode_exponent(m, m, w2t))
-    cross = cmath.exp(_mode_exponent(a, -a, w1t) + _mode_exponent(m, -m, w2t))
-    sc = math.sin(spec.theta) * math.cos(spec.varphi)
-    return overlap_phase((same + sc * cross) / nsq) - (delta1 + delta2)
-
-
-def _antipodal_overlap_rows(spec: _SpecRows, w1t, w2t, nsq, rows: _Rows) -> tuple:
-    """The collapsed overlap of antipodal_geometric_phase over rows, given _antipodal_parts_rows's N^2."""
-    a, m = spec.alpha.label, spec.mu.label
-    minus_a, minus_m = (-a[0], -a[1]), (-m[0], -m[1])
-    same = _exp_rows(_cadd(_mode_exponent_rows(a, a, w1t, rows), _mode_exponent_rows(m, m, w2t, rows)), rows)
-    cross = _exp_rows(
-        _cadd(_mode_exponent_rows(a, minus_a, w1t, rows), _mode_exponent_rows(m, minus_m, w2t, rows)), rows
-    )
-    sc = _cis(spec.theta)[1] * _cis(spec.varphi)[0]
-    return _cdiv_real(_cadd(same, _cmul((sc, 0.0), cross)), nsq)
+    turn1 = _turn(w1t, ops)
+    turn2 = _turn(w2t, ops)
+    same = ops.exp(_mode_exponent(a, a, w1t, turn1, ops) + _mode_exponent(m, m, w2t, turn2, ops))
+    cross = ops.exp(_mode_exponent(a, -a, w1t, turn1, ops) + _mode_exponent(m, -m, w2t, turn2, ops))
+    sc = ops.sin(spec.theta) * ops.cos(spec.varphi)
+    return (same + sc * cross) / nsq
 
 
 def _checked_turns(name: str, value: int) -> int:

@@ -3,21 +3,22 @@
 Commands: `single` and `pair` print one labelled value per line; `sweep`
 writes a CSV curve over one swept parameter; `verify` runs the randomized
 analytic-vs-oracle harness and exits nonzero on failure.  A sweep's rows
-come from one pass of analytic's array kernels over the whole grid, bit for
-bit the scalar closed forms' values; `single` and `pair` print the one-row
+come from one pass over the whole grid of the kernels that analytic's public
+functions run, on arrays under the grid's op set `analytic._Rows`, so each
+row is bit for bit the library value; `single` and `pair` print the one-row
 grid of their point through the same call, so a point equals its sweep row.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error
 (a non-finite or non-positive `verify --tolerance`, `sweep --steps` above
-MAX_SWEEP_STEPS, and amplitudes or dynamical phases beyond the float range,
-included) or an oracle cutoff that cannot be met (TruncationError,
-CapacityError, `verify --n-max` above FOCK_CAP included), 3 degenerate
-state, 4 undefined total phase (the normalized endpoint overlap is below
-1e-10, in `single` as in `pair`), 5 any other arithmetic failure
-(ArithmeticError).  Every error prints one `error:` line on stderr instead
-of a traceback.  Numbers are printed with twelve digits after the decimal
-point, locale independent, so identical invocations produce byte-identical
-output.
+MAX_SWEEP_STEPS, and amplitudes, evolution angles omega tau or dynamical
+phases beyond the float range included) or an oracle cutoff that cannot be
+met (TruncationError, CapacityError, `verify --n-max` above FOCK_CAP
+included), 3 degenerate state, 4 undefined total phase (the normalized
+endpoint overlap is below 1e-10, in `single` as in `pair`), 5 any other
+arithmetic failure (ArithmeticError).  Every error prints one `error:` line
+on stderr instead of a traceback.  Numbers are printed with twelve digits
+after the decimal point, locale independent, so identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -162,49 +163,46 @@ def _point_inputs(target: str, bind: dict[str, float]) -> tuple:
     return spec, ModePair(bind["omega1"], omega2, bind["tau"])
 
 
-def _spec_rows(target: str, bind: dict) -> analytic._SpecRows:
+def _param_rows(rho, phi, rows: analytic._Rows) -> analytic._ParamRows:
+    return analytic._ParamRows(rho, rows.rect(rho, phi))
+
+
+def _spec_rows(target: str, bind: dict, rows: analytic._Rows) -> analytic._SpecRows:
     """The spec of _point_inputs over rows; any binding may be an array."""
-    alpha = analytic._param_rows(bind["rho_alpha"], bind["phi_alpha"])
-    mu = analytic._param_rows(bind["rho_mu"], bind["phi_mu"])
-    if target == "pair":
-        beta = analytic._param_rows(bind["rho_beta"], bind["phi_beta"])
-        nu = analytic._param_rows(bind["rho_nu"], bind["phi_nu"])
-    else:
+    if target != "pair":
         # EntangledSpec.antipodal: beta and nu are alpha and mu negated, phase advanced by pi
-        beta = analytic._param_rows(bind["rho_alpha"], bind["phi_alpha"] + math.pi)
-        nu = analytic._param_rows(bind["rho_mu"], bind["phi_mu"] + math.pi)
-    return analytic._SpecRows(alpha, beta, mu, nu, bind["theta"], bind["varphi"])
+        bind = {**bind, "rho_beta": bind["rho_alpha"], "phi_beta": bind["phi_alpha"] + math.pi,
+                "rho_nu": bind["rho_mu"], "phi_nu": bind["phi_mu"] + math.pi}
+    params = (_param_rows(bind[f"rho_{k}"], bind[f"phi_{k}"], rows) for k in ("alpha", "beta", "mu", "nu"))
+    return analytic._SpecRows(*params, bind["theta"], bind["varphi"])
 
 
 def _single_columns(bind: dict, rows: analytic._Rows) -> tuple:
-    alpha = analytic._param_rows(bind["rho"], bind["phi"])
-    total, dynamical, geometric = analytic._single_phases_rows(alpha, bind["omega"], bind["tau"], rows)
-    overlap = analytic._single_overlap_rows(alpha, bind["omega"], bind["tau"], rows)
-    _, overlap_abs, undefined = analytic._overlap_phase_rows(overlap, rows)
-    return total, dynamical, geometric, overlap_abs, np.zeros_like(undefined), undefined
+    alpha = _param_rows(bind["rho"], bind["phi"], rows)
+    wt = bind["omega"] * bind["tau"]
+    total, dynamical, geometric = analytic._single_phases(alpha, wt, rows)
+    overlap = analytic._mode_overlap(alpha.label, alpha.label, wt, rows)
+    rows.phase(overlap)  # only to mark the rows whose total phase is undefined
+    return total, dynamical, geometric, abs(overlap)
 
 
 def _pairlike_columns(target: str, bind: dict, rows: analytic._Rows) -> tuple:
     # a one-particle row is the antipodal row at omega2 = 0
-    spec = _spec_rows(target, bind)
+    spec = _spec_rows(target, bind, rows)
     omega2 = 0.0 if target == "one-particle" else bind["omega2"]
     w1t, w2t = bind["omega1"] * bind["tau"], omega2 * bind["tau"]
-    _, overlap, energy, degenerate = analytic._branch_sum_rows(spec, w1t, w2t, rows)
+    _, overlap, energy = analytic._branch_sum(spec, w1t, w2t, rows)
     if target == "pair":
         delta = -energy
     else:
-        nsq, delta1, delta2, degenerate_parts = analytic._antipodal_parts_rows(spec, w1t, w2t, rows)
-        degenerate |= degenerate_parts
+        nsq, delta1, delta2 = analytic._antipodal_parts(spec, w1t, w2t, rows)
         delta = delta1 + delta2
-    chi, overlap_abs, undefined = analytic._overlap_phase_rows(overlap, rows)
+    chi = rows.phase(overlap)
     if target == "pair":
         gamma = chi - delta
     else:
-        collapsed = analytic._antipodal_overlap_rows(spec, w1t, w2t, nsq, rows)
-        phase, _, undefined_collapsed = analytic._overlap_phase_rows(collapsed, rows)
-        undefined |= undefined_collapsed
-        gamma = phase - delta
-    return chi, delta, gamma, overlap_abs, degenerate, undefined
+        gamma = rows.phase(analytic._antipodal_overlap(spec, w1t, w2t, nsq, rows)) - delta
+    return chi, delta, gamma, abs(overlap)
 
 
 def _cells(values, empty: np.ndarray) -> list[float | None]:
@@ -215,7 +213,7 @@ def _cells(values, empty: np.ndarray) -> list[float | None]:
 
 
 def _rows(target: str, bind: dict, swept: str) -> list[_Row]:
-    """The rows of `target` over the values of bind[swept], from one pass of the array kernels.
+    """The rows of `target` over the values of bind[swept], from one pass of the kernels over the grid.
 
     The other bindings are floats.  Rows differ only in the swept value, and
     SweepRequest and linspace keep every grid value inside the domain its
@@ -233,7 +231,8 @@ def _rows(target: str, bind: dict, swept: str) -> list[_Row]:
         else:
             columns = _pairlike_columns(target, bind, rows)
     rows.raise_first()
-    chi, delta, gamma, overlap_abs, degenerate, undefined = columns
+    chi, delta, gamma, overlap_abs = columns
+    degenerate, undefined = rows.degenerate, rows.undefined
     notes: list[str | None] = [None] * values.size
     for row in np.flatnonzero(degenerate):
         notes[row] = "degenerate state"

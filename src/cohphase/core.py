@@ -11,8 +11,8 @@ DEFAULT_NORM_EPS), _defined_phase (no total phase where the normalized
 endpoint overlap is below DEFAULT_OVERLAP_EPS) and _checked_nonnegative
 (times, frequencies and amplitudes are finite and nonnegative).  The first
 two, and the antipodal test of EntangledSpec.is_antipodal, read predicates
-(_degenerate, _orthogonal, _opposite) that the closed forms' array forms
-apply elementwise.
+(_degenerate, _orthogonal, _opposite) that a sweep grid of the closed forms
+applies elementwise.
 """
 
 from __future__ import annotations
@@ -209,8 +209,9 @@ class EntangledSpec:
 
     def is_antipodal(self) -> bool:
         """True when beta = -alpha and nu = -mu as complex labels, within a relative 1e-12."""
+        # `&`, not `and`: a spec over sweep rows runs this same test per row
         opposite_alpha = _opposite(abs(self.beta.label + self.alpha.label), self.alpha.rho)
-        return opposite_alpha and _opposite(abs(self.nu.label + self.mu.label), self.mu.rho)
+        return opposite_alpha & _opposite(abs(self.nu.label + self.mu.label), self.mu.rho)
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,7 @@ def fock_cutoff(rho: float, tail_bound: float) -> int:
     """
     mean = rho * rho
     n = max(FOCK_FLOOR, math.ceil(mean))
-    if not poisson_tail(mean, n) >= tail_bound:
+    if n <= FOCK_CAP and not poisson_tail(mean, n) >= tail_bound:
         return n
     width = max(FOCK_FLOOR, math.ceil(10.0 * rho))
     while n < FOCK_CAP:
@@ -229,7 +229,7 @@ def build_entangled(spec: EntangledSpec, config: OracleConfig | None = None) -> 
 
 
 def _mode_frequencies(omegas: OmegaLike, modes: int) -> tuple[float, ...]:
-    ws = (omegas,) if isinstance(omegas, (int, float)) else tuple(omegas)
+    ws = (omegas,) if isinstance(omegas, numbers.Real) else tuple(omegas)
     if len(ws) != modes:
         raise ValueError(f"got {len(ws)} frequencies for a {modes}-mode state")
     return tuple(_checked_nonnegative("omega", w) for w in ws)

@@ -484,6 +484,25 @@ class TestSweepCommand:
         assert code == 2
         assert err == "error: label amplitudes too large: their squares sum beyond the float range\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single", "--rho", "1", "--omega", "1e300", "--tau", "1e300"],
+            ["pair", "--rho-alpha", "1", "--omega1", "1e300", "--omega2", "1", "--tau", "1e300"],
+            ["sweep", "--target", "antipodal", "--swept", "tau", "--start", "0", "--end", "1e10",
+             "--steps", "21", "--rho-alpha", "1", "--omega1", "1e300", "--omega2", "1"],
+        ],
+        ids=["single", "pair", "antipodal-sweep"],
+    )
+    def test_evolution_angle_past_float_range_is_named_usage_error(self, capsys, tmp_path, argv):
+        output = tmp_path / "angle.csv"
+        extra = ["--output", str(output)] if argv[0] == "sweep" else []
+        code, out, err = run_cli(capsys, argv + extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: evolution angle beyond the float range: omega tau overflows\n"
+        assert not output.exists()
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):

@@ -44,7 +44,7 @@ def sequential_cutoff(rho, tail_bound):
     """Reference search: one Poisson tail per step from max(FOCK_FLOOR, ceil(rho^2)) up to FOCK_CAP."""
     mean = rho * rho
     n = max(FOCK_FLOOR, math.ceil(mean))
-    while poisson_tail(mean, n) >= tail_bound:
+    while n > FOCK_CAP or poisson_tail(mean, n) >= tail_bound:
         if n >= FOCK_CAP:
             raise CapacityError(f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}")
         n += 1
@@ -94,6 +94,11 @@ class TestCutoff:
             fock_cutoff(80.0, 1e-12)
         with pytest.raises(CapacityError):
             build_coherent(CoherentParam(80.0))
+        # a loose bound that the first candidate, ceil(rho^2) = 4900, already meets
+        with pytest.raises(CapacityError):
+            fock_cutoff(70.0, 0.9)
+        with pytest.raises(CapacityError):
+            build_coherent(CoherentParam(70.0), OracleConfig(trunc_tol=0.9))
 
     def test_override_too_small(self):
         with pytest.raises(TruncationError):
@@ -118,6 +123,9 @@ class TestCutoff:
         assert outcomes == [cutoff_outcome(sequential_cutoff, rho, 1e-12) for rho in rhos]
         assert FOCK_CAP in outcomes
         assert outcomes[-1] == f"amplitude rho=80.0 needs a Fock cutoff above the cap {FOCK_CAP}"
+        # at a loose bound the first candidate passes its tail test, and the cap still holds
+        loose = [cutoff_outcome(search, 70.0, 0.9) for search in (fock_cutoff, sequential_cutoff)]
+        assert loose == [f"amplitude rho=70.0 needs a Fock cutoff above the cap {FOCK_CAP}"] * 2
 
     def test_desk_cutoff_is_one_tail(self, monkeypatch):
         calls = []
@@ -438,6 +446,8 @@ class TestOraclePhases:
                 ),
                 (1.0, 0.0),
             ),
+            (CoherentParam(1.1, 0.4), np.int64(1)),
+            (CoherentParam(1.1, 0.4), np.float32(1.3)),
         ],
     )
     def test_triple_matches_single_quantity_functions(self, subject, omegas):
@@ -452,6 +462,9 @@ class TestOraclePhases:
         assert triple.dynamical == oracle_dynamical_phase(state, omegas, tau)
         assert triple.geometric == triple.total - triple.dynamical
         assert oracle_phases(subject, omegas, tau) == triple
+        if np.isscalar(omegas):
+            # a numpy scalar frequency is the one-mode frequency float(omegas)
+            assert oracle_phases(subject, (float(omegas),), tau) == triple
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):

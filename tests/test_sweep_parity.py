@@ -1,10 +1,14 @@
-"""Sweep rows from the array kernels equal the scalar closed forms, bit for bit.
+"""A sweep grid's rows equal the public closed forms at each point, bit for bit.
 
-`cli.sweep_points` evaluates a whole grid in one pass of analytic's array
-forms.  Each test here evaluates the same grid row by row through the public
-scalar functions, the way the CLI did before it had array forms, and
-compares every cell by its repr (so -0.0 and 0.0 differ), every empty cell
-and note, and the exception a failing sweep raises.
+analytic writes each kernel once and runs it on two number types: Python
+floats and complex numbers for a point, and numpy arrays with
+`analytic._ComplexRows` under the grid's op set for a sweep.
+`cli.sweep_points` evaluates a whole grid in one pass of the kernels.  Each
+test here evaluates the same grid row by row through the public functions
+and compares every cell by its repr (so -0.0 and 0.0 differ), every empty
+cell and note, and the exception a failing sweep raises: the array
+arithmetic must round as CPython's does, and the grid's checks must end the
+rows where a point raises.
 """
 
 import math
@@ -211,20 +215,23 @@ def test_overflowing_row_raises_as_the_scalar_kernel(steps):
 
 ANTIPODAL_FAILURES = {
     # beta = -alpha fails once phi + pi rounds to phi, from the first row past rho ~ 5e-13
-    "not_antipodal": ("rho_alpha", 1e-11, 21, {"phi_alpha": 1e20, "omega1": 1.0, "tau": 1.0}),
-    # omega1 tau overflows on the last rows: cmath.rect raises there
-    "turn_overflow": ("tau", 1e10, 21, {"rho_alpha": 1.0, "phi_alpha": 0.3, "omega1": 1e300}),
+    "not_antipodal": ("rho_alpha", 1e-11, 21, {"phi_alpha": 1e20, "omega1": 1.0, "tau": 1.0},
+                      "spec must satisfy beta = -alpha and nu = -mu"),
+    # omega1 tau overflows on the last rows: the branch sum's angle check fails them
+    "turn_overflow": ("tau", 1e10, 21, {"rho_alpha": 1.0, "phi_alpha": 0.3, "omega1": 1e300},
+                      "evolution angle beyond the float range: omega tau overflows"),
     # the dynamical phase overflows on an earlier row than omega1 tau does,
-    # though the branch sum checks the turn first
-    "dynamical_first": ("tau", 1.7e308, 3, {"rho_alpha": 1.0, "phi_alpha": 0.3, "omega1": 2.0}),
+    # though the branch sum checks the angle first
+    "dynamical_first": ("tau", 1.7e308, 3, {"rho_alpha": 1.0, "phi_alpha": 0.3, "omega1": 2.0},
+                        "dynamical phase beyond the float range: omega tau rho^2 overflows"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ANTIPODAL_FAILURES))
 def test_antipodal_failure_raises_at_the_first_failing_row(case):
-    swept, end, steps, bindings = ANTIPODAL_FAILURES[case]
+    swept, end, steps, bindings, message = ANTIPODAL_FAILURES[case]
     fixed = {"rho_mu": 0.5, "phi_mu": 0.0, "theta": 1.0, "varphi": 0.4, "omega2": 1.0, **bindings}
     request = cli.SweepRequest("antipodal", swept, 0.0, end, steps, fixed)
     expected = raised(scalar_rows, request)
-    assert expected is not None and expected[0] is ValueError
+    assert expected == (ValueError, message)
     assert raised(cli.sweep_points, request) == expected
