@@ -15,8 +15,10 @@ reduction switches off the second potential (omega2 = 0).
 Each overlap is exp of an exponent summed over modes before exponentiating;
 its real part is never positive, so no amplitude makes a term overflow.
 Labels whose squared amplitudes sum beyond the float range, evolution angles
-omega tau beyond it, and dynamical phases beyond it raise ValueError instead
-of returning NaN or inf.  Quantities defined through an argument of a complex
+omega tau beyond it, dynamical and overlap phases beyond it, and
+near-parallel labels so large that rounding lifts an exponent's real part
+past _EXP_BOUND raise ValueError instead of returning NaN or inf or raising
+OverflowError.  Quantities defined through an argument of a complex
 number (the total phases and the leading arctangent terms of the antipodal
 forms) are principal values in (-pi, pi]; everything else is returned
 unwrapped.
@@ -30,10 +32,11 @@ complex values are `_ComplexRows`, and the op set is the grid's `_Rows`.
 `_ComplexRows` repeats CPython's complex arithmetic operation by operation,
 and `_Rows` takes exp, cos and sin from numpy's complex exp (libm's), |z|
 from np.hypot, and x**2 and arguments from Python per row, so each row is
-bit for bit the point value.  A check that raises for a point ends the row
-on a grid: DegenerateStateError and UndefinedTotalPhaseError rows are
-collected as masks, and any other exception is raised for the first row
-that meets it.
+bit for bit the point value.  Every failure is a named check of the kernel
+body, so a point and a grid meet the same ones: a check that raises for a
+point ends the row on a grid.  DegenerateStateError and
+UndefinedTotalPhaseError rows are collected as masks; the other checks raise
+ValueError, for the lowest row that fails one.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +94,13 @@ _SCALE_ERROR = "label amplitudes too large: their squares sum beyond the float r
 _ANGLE_ERROR = "evolution angle beyond the float range: omega tau overflows"
 _DYNAMICAL_ERROR = "dynamical phase beyond the float range: omega tau rho^2 overflows"
 _ANTIPODAL_ERROR = "spec must satisfy beta = -alpha and nu = -mu"
+_CANCEL_ERROR = "label amplitudes too large: near-parallel labels cancel beyond float precision"
+_PHASE_ERROR = "overlap phase beyond the float range: omega tau rho^2 overflows"
+
+#: Largest real part an overlap exponent may have (CPython's CM_LOG_LARGE_DOUBLE, about 708.4).
+#: The true one, -|a_i - a_j e^{-i omega tau}|^2 / 2, is never positive; above this bound
+#: rounding has cancelled near-parallel labels of large amplitude, and exp would overflow.
+_EXP_BOUND = math.log(sys.float_info.max / 4.0)
 
 
 class _Point:
@@ -101,13 +111,21 @@ class _Point:
     """
 
     half_i = 0.5j
-    exp = cmath.exp
     rect = cmath.rect
     cos = math.cos
     sin = math.sin
     norm_squared = staticmethod(_checked_norm_squared)
     phase = staticmethod(_defined_phase)
-    triple = PhaseTriple
+
+    @staticmethod
+    def exp(z: complex) -> complex:
+        """cmath.exp of an overlap exponent; ValueError past _EXP_BOUND or for an infinite phase."""
+        if z.real > _EXP_BOUND:
+            raise ValueError(_CANCEL_ERROR)
+        try:
+            return cmath.exp(z)
+        except ValueError:  # cmath's domain error: a finite real part and an infinite imaginary one
+            raise ValueError(_PHASE_ERROR) from None
 
     @staticmethod
     def square(value: float) -> float:
@@ -191,10 +209,6 @@ def _cis(x) -> tuple:
     return z.real, z.imag
 
 
-#: cmath.exp rescales an exponent whose real part exceeds this (CPython's CM_LOG_LARGE_DOUBLE).
-_CMATH_RESCALE = math.log(sys.float_info.max / 4.0)
-
-
 class _Rows:
     """The op set of a sweep grid, and which of its rows still run.
 
@@ -230,40 +244,18 @@ class _Rows:
         if self._failures:
             raise min(self._failures, key=lambda failure: failure[0])[1]
 
-    def _each(self, fn: Callable, special: np.ndarray, *args) -> dict[int, object]:
-        """fn(*args) row by row on the live rows of `special`, as {row: value}.
-
-        For the rows a numpy ufunc cannot stand in for, so that they raise
-        exactly where the point does; a row where fn raises fails with it.
-        """
-        special = special & self.live
-        values: dict[int, object] = {}
-        if special.any():
-            args = np.broadcast_arrays(*args, special)[:-1]
-            for row in np.flatnonzero(special):
-                try:
-                    values[row] = fn(*(arg[row].item() for arg in args))
-                except (ArithmeticError, ValueError) as exc:
-                    self._fail(np.arange(special.size) == row, exc)
-        return values
-
     def exp(self, z) -> _ComplexRows:
-        """cmath.exp over rows.
+        """The point's exp over rows, with its two checks.
 
         numpy's complex exp is libm's exp(re) (cos im, sin im), which is
-        cmath.exp for a finite exponent below cmath's rescaling threshold;
-        the other live rows go through cmath.exp itself, and fail where it
-        raises.
+        cmath.exp wherever the checks let a row through.
         """
         re, im = np.broadcast_arrays(*_parts(z))
+        self._fail(re > _EXP_BOUND, ValueError(_CANCEL_ERROR))
+        self._fail(np.isinf(im) & np.isfinite(re), ValueError(_PHASE_ERROR))
         arg = np.empty(re.shape, dtype=complex)
         arg.real, arg.imag = re, im
         out = np.exp(arg)
-        special = ~(np.isfinite(re) & np.isfinite(im) & (re <= _CMATH_RESCALE))
-        values = self._each(cmath.exp, special, arg)
-        if values:
-            out = np.array(np.broadcast_to(out, self.live.shape))
-            out[list(values)] = list(values.values())
         return _ComplexRows(out.real, out.imag)
 
     def rect(self, r, phi) -> _ComplexRows:
@@ -306,12 +298,6 @@ class _Rows:
         phase = np.full(live.shape, math.nan)
         phase[live] = list(map(math.atan2, im.tolist(), re.tolist()))
         return phase
-
-    def triple(self, total, dynamical, geometric) -> tuple:
-        """PhaseTriple's finiteness check over rows; the phases come back as a tuple."""
-        finite = np.isfinite(total) & np.isfinite(dynamical) & np.isfinite(geometric)
-        self._each(PhaseTriple, ~finite, total, dynamical, geometric)
-        return total, dynamical, geometric
 
 
 class _ParamRows(NamedTuple):
@@ -382,16 +368,17 @@ def single_phases(alpha: CoherentParam, omega: float, tau: float) -> PhaseTriple
     The geometric value reduces to 2 pi rho^2 per full cycle omega tau = 2 pi.
     """
     omega, tau = _check_single_mode(omega, tau)
-    return _single_phases(alpha, omega * tau)
+    return PhaseTriple(*_single_phases(alpha, omega * tau))
 
 
-def _single_phases(alpha: CoherentParam, wt: float, ops=_Point) -> PhaseTriple:
+def _single_phases(alpha: CoherentParam, wt: float, ops=_Point) -> tuple[float, float, float]:
+    """(total, dynamical, geometric) of single_phases at omega tau = wt."""
     sin_wt = ops.sin(ops.finite(wt, _ANGLE_ERROR))
-    rho2 = alpha.rho * alpha.rho
+    rho2 = ops.finite(alpha.rho * alpha.rho, _SCALE_ERROR)
     total = -(rho2 * sin_wt + 0.5 * wt)
-    dynamical = -wt * (0.5 + rho2)
-    geometric = rho2 * (wt - sin_wt)
-    return ops.triple(total, dynamical, geometric)
+    dynamical = ops.finite(-wt * (0.5 + rho2), _DYNAMICAL_ERROR)
+    geometric = ops.finite(rho2 * (wt - sin_wt), _DYNAMICAL_ERROR)
+    return total, dynamical, geometric
 
 
 def unequal_time_overlap(bra: CoherentParam, ket: CoherentParam, omega: float, tau: float) -> complex:

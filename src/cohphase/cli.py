@@ -10,15 +10,16 @@ grid of their point through the same call, so a point equals its sweep row.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error
 (a non-finite or non-positive `verify --tolerance`, `sweep --steps` above
-MAX_SWEEP_STEPS, and amplitudes, evolution angles omega tau or dynamical
-phases beyond the float range included) or an oracle cutoff that cannot be
-met (TruncationError, CapacityError, `verify --n-max` above FOCK_CAP
-included), 3 degenerate state, 4 undefined total phase (the normalized
-endpoint overlap is below 1e-10, in `single` as in `pair`), 5 any other
-arithmetic failure (ArithmeticError).  Every error prints one `error:` line
-on stderr instead of a traceback.  Numbers are printed with twelve digits
-after the decimal point, locale independent, so identical invocations
-produce byte-identical output.
+MAX_SWEEP_STEPS, a sweep range wider than the float range, amplitudes,
+evolution angles omega tau or dynamical and overlap phases beyond the float
+range, and near-parallel labels that cancel beyond float precision included)
+or an oracle cutoff that cannot be met (TruncationError, CapacityError,
+`verify --n-max` above FOCK_CAP included), 3 degenerate state, 4 undefined
+total phase (the normalized endpoint overlap is below 1e-10, in `single` as
+in `pair`), 5 any other arithmetic failure (ArithmeticError).  Every error
+prints one `error:` line on stderr instead of a traceback.  Numbers are
+printed with twelve digits after the decimal point, locale independent, so
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class SweepRequest:
     def __post_init__(self) -> None:
         if self.swept not in _SWEPT_BINDING[self.target]:
             raise ValueError(f"target {self.target!r} cannot sweep {self.swept!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+        # also rejects finite ends whose distance overflows, which linspace would turn into NaN rows
+        if not math.isfinite(self.end - self.start):
             raise ValueError("sweep range must be finite")
         if self.start > self.end:
             raise ValueError(f"start {self.start} must not exceed end {self.end}")

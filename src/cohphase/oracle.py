@@ -144,13 +144,14 @@ def fock_cutoff(rho: float, tail_bound: float) -> int:
     """Smallest cutoff whose Poisson(rho^2) tail mass stays below tail_bound.
 
     The search starts at max(FOCK_FLOOR, ceil(rho^2)) and raises CapacityError
-    past FOCK_CAP.  The first candidate is checked alone, since it passes for
-    every desk-scale amplitude; past it the tails of a window of candidates
-    come from one vectorized gammainc call, and a window of about ten standard
-    deviations nearly always holds the answer.
+    past FOCK_CAP, also where rho^2 overflows.  The first candidate is checked
+    alone, since it passes for every desk-scale amplitude; past it the tails of
+    a window of candidates come from one vectorized gammainc call, and a window
+    of about ten standard deviations nearly always holds the answer.
     """
     mean = rho * rho
-    n = max(FOCK_FLOOR, math.ceil(mean))
+    # a mean past the cap starts past it, so an infinite one never reaches ceil
+    n = max(FOCK_FLOOR, math.ceil(min(mean, FOCK_CAP + 1)))
     if n <= FOCK_CAP and not poisson_tail(mean, n) >= tail_bound:
         return n
     width = max(FOCK_FLOOR, math.ceil(10.0 * rho))

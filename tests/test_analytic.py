@@ -8,6 +8,7 @@ import pytest
 
 from cohphase import (
     CoherentParam,
+    CoherentPhaseError,
     DegenerateStateError,
     EntangledSpec,
     ModePair,
@@ -560,3 +561,23 @@ class TestDomainEdge:
         assert forms["antipodal_dynamical_phase"]() == pytest.approx(
             analytic.pair_dynamical_phase(anti, modes), rel=1e-12
         )
+
+    def test_near_parallel_labels_raise_no_arithmetic_error(self):
+        # beta within about 4 ulps of alpha: rounding turns a same-time exponent
+        # -|a_i - a_j|^2 / 2 positive, up to about 1e284, for 563 of these pairs
+        rng = np.random.default_rng(10)
+        count = 4000
+        columns = zip(10.0 ** rng.uniform(8.0, math.log10(3e153), count), rng.uniform(-PI, PI, count),
+                      rng.uniform(-1e-15, 1e-15, count), rng.uniform(-1e-15, 1e-15, count),
+                      rng.uniform(0.0, 1.0, count))
+        for rho, phi, drho, dphi, tau in columns:
+            alpha = CoherentParam(rho, phi)
+            beta = CoherentParam(rho * (1.0 + drho), phi + dphi)
+            general = EntangledSpec(alpha, beta, CoherentParam(1.0), CoherentParam(1.0), 1.0, 0.3)
+            anti = EntangledSpec.antipodal(alpha, CoherentParam(1.0), 1.0, 0.3)
+            for name, form in self.closed_forms(general, anti, ModePair(1.0, 1.0, tau)).items():
+                try:
+                    value = form()
+                except (ValueError, CoherentPhaseError):
+                    continue
+                assert np.isfinite(np.asarray(value, dtype=complex)).all(), (name, rho, phi, drho, dphi, tau)

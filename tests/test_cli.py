@@ -71,6 +71,13 @@ class TestSingleCommand:
         assert out == ""
         assert err == "error: total phase undefined\n"
 
+    def test_amplitude_past_float_range_is_named_usage_error(self, capsys):
+        # rho^2 overflows: the same message as the two-mode targets give
+        code, out, err = run_cli(capsys, ["single", "--rho", "1e200", "--omega", "1", "--tau", "1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: label amplitudes too large: their squares sum beyond the float range\n"
+
 
 class TestPairCommand:
     def test_zero_time(self, capsys):
@@ -299,6 +306,34 @@ class TestSweepCommand:
             assert code == 0
             point = {k: v for k, v in (item.split(None, 1) for item in out.strip().splitlines())}
             assert fields[1:5] == [point["chi"], point["delta"], point["gamma"], point["gamma_mod_2pi"]]
+
+    def test_near_parallel_labels_past_float_precision_are_named_usage_error(self, capsys, tmp_path):
+        # rounding turns a same-time exponent of these labels positive, about 1e284
+        out_path = tmp_path / "parallel.csv"
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--target", "pair", "--swept", "tau", "--start", "0", "--end", "1", "--steps", "3",
+             "--rho-alpha", "3.9717579987085416e+148", "--phi-alpha", "0.25731373031930266",
+             "--rho-beta", "3.97175799870854e+148", "--phi-beta", "0.2573137303193017", "--theta", "1",
+             "--varphi", "0.3", "--omega1", "1", "--omega2", "1", "--output", str(out_path)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: label amplitudes too large: near-parallel labels cancel beyond float precision\n"
+        assert not out_path.exists()
+
+    def test_range_wider_than_float_range_is_usage_error(self, capsys, tmp_path):
+        # both ends are finite, end - start is not
+        out_path = tmp_path / "wide.csv"
+        code, out, err = run_cli(
+            capsys,
+            ["sweep", "--target", "pair", "--swept", "varphi", "--start=-1e308", "--end=1e308", "--steps", "3",
+             "--omega1", "1", "--omega2", "1", "--tau", "1", "--output", str(out_path)],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: sweep range must be finite\n"
+        assert not out_path.exists()
 
     def test_steps_above_cap_is_usage_error(self, capsys, tmp_path):
         out_path = tmp_path / "huge.csv"

@@ -43,6 +43,8 @@ PI = math.pi
 def sequential_cutoff(rho, tail_bound):
     """Reference search: one Poisson tail per step from max(FOCK_FLOOR, ceil(rho^2)) up to FOCK_CAP."""
     mean = rho * rho
+    if mean > FOCK_CAP:
+        raise CapacityError(f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}")
     n = max(FOCK_FLOOR, math.ceil(mean))
     while n > FOCK_CAP or poisson_tail(mean, n) >= tail_bound:
         if n >= FOCK_CAP:
@@ -99,6 +101,15 @@ class TestCutoff:
             fock_cutoff(70.0, 0.9)
         with pytest.raises(CapacityError):
             build_coherent(CoherentParam(70.0), OracleConfig(trunc_tol=0.9))
+
+    @pytest.mark.parametrize("rho", [1e155, 1e200])
+    def test_capacity_error_where_rho_squared_overflows(self, rho):
+        message = f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}"
+        assert cutoff_outcome(fock_cutoff, rho, 1e-12) == cutoff_outcome(sequential_cutoff, rho, 1e-12) == message
+        with pytest.raises(CapacityError, match="above the cap"):
+            build_coherent(CoherentParam(rho))
+        with pytest.raises(CapacityError, match="above the cap"):
+            oracle_phases(CoherentParam(rho), 1.0, 1.0)
 
     def test_override_too_small(self):
         with pytest.raises(TruncationError):

@@ -177,9 +177,9 @@ def test_point_is_its_scalar_row(target):
 
 SCALE_LINE = "error: label amplitudes too large: their squares sum beyond the float range\n"
 
-#: Per target, the bindings of a rho_alpha sweep over [1e150, 1e160] and its stderr at the parent commit.
+#: Per target, the bindings of a rho_alpha sweep over [1e150, 1e160] and its stderr.
 FLOAT_RANGE = {
-    "single": (["--phi", "0.1", "--omega", "1", "--tau", "1"], "error: total must be finite, got -inf\n"),
+    "single": (["--phi", "0.1", "--omega", "1", "--tau", "1"], SCALE_LINE),
     "pair": (["--rho-beta", "1", "--phi-beta", "2", "--rho-mu", "0.5", "--rho-nu", "0.7", "--theta", "1",
               "--varphi", "0.4", "--omega1", "1", "--omega2", "1", "--tau", "1"], SCALE_LINE),
     "antipodal": (["--rho-mu", "0.5", "--theta", "1", "--varphi", "0.4", "--omega1", "1", "--omega2", "1",
@@ -204,12 +204,24 @@ def test_float_range_crossing_fails_as_the_first_failing_row(target, tmp_path, c
 
 @pytest.mark.parametrize("steps", [2, 5])
 def test_overflowing_row_raises_as_the_scalar_kernel(steps):
-    # near-parallel labels at rho ~ 4e148: a rounded exponent of a same-time term turns positive
+    # near-parallel labels at rho ~ 4e148: a rounded exponent of a same-time term turns positive,
+    # about 1e284, and the exponent bound of both op sets' exp stops it before exp overflows
     fixed = {"rho_alpha": 3.9717579987085416e148, "phi_alpha": 0.25731373031930266,
              "rho_beta": 3.97175799870854e148, "phi_beta": 0.2573137303193017, "rho_mu": 1.0, "phi_mu": 0.0,
              "rho_nu": 1.0, "phi_nu": 0.0, "theta": 1.0, "varphi": 0.3, "omega1": 1.0, "omega2": 1.0}
     request = cli.SweepRequest("pair", "tau", 0.0, 1.0, steps, fixed)
-    expected = (OverflowError, "math range error")
+    expected = (ValueError, "label amplitudes too large: near-parallel labels cancel beyond float precision")
+    assert raised(cli.sweep_points, request) == raised(scalar_rows, request) == expected
+
+
+def test_infinite_overlap_phase_raises_as_the_scalar_kernel():
+    # rho^2 ~ 8e307 per mode and omega tau ~ 9e307: the imaginary part of an overlap exponent
+    # overflows while its real part stays finite, which cmath.exp rejects as a domain error
+    fixed = {"rho_alpha": 9e153, "phi_alpha": 0.0, "rho_beta": 1.0, "phi_beta": 0.1, "rho_mu": 9e153,
+             "phi_mu": 0.0, "rho_nu": 1.0, "phi_nu": 0.0, "theta": 1.0, "varphi": 0.3, "omega1": 1.0,
+             "omega2": 1.0}
+    request = cli.SweepRequest("pair", "tau", 8.9e307, 8.9e307 + 2e292, 3, fixed)
+    expected = (ValueError, "overlap phase beyond the float range: omega tau rho^2 overflows")
     assert raised(cli.sweep_points, request) == raised(scalar_rows, request) == expected
 
 
