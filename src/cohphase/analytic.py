@@ -27,8 +27,10 @@ Each kernel is written once and runs on two number types, chosen by its op
 set `ops`: exp, rect, cos, sin, x**2, the constant 0.5j and the domain
 checks.  For a point (the public functions) the inputs are Python floats
 and complex numbers, and the op set `_Point` is math and cmath with checks
-that raise.  For a sweep grid any input may be a numpy array over rows,
-complex values are `_ComplexRows`, and the op set is the grid's `_Rows`.
+that raise.  For a grid (a sweep's values of its swept parameter, or the
+cases of a verify chunk) any input may be a numpy array over rows, complex
+values are `_ComplexRows`, and the op set is the grid's `_Rows`; both build
+their specs over rows with `_spec_rows`.
 `_ComplexRows` repeats CPython's complex arithmetic operation by operation,
 and `_Rows` takes exp, cos and sin from numpy's complex exp (libm's), |z|
 from np.hypot, and x**2 and arguments from Python per row, so each row is
@@ -320,6 +322,25 @@ class _SpecRows(NamedTuple):
     is_antipodal = EntangledSpec.is_antipodal
 
 
+def _param_rows(rho, phi, rows: _Rows) -> _ParamRows:
+    return _ParamRows(rho, rows.rect(rho, phi))
+
+
+def _spec_rows(bind: dict, rows: _Rows, antipodal: bool = False) -> _SpecRows:
+    """The EntangledSpec of a binding over rows, as sweeps and verify bind it; any value may be an array.
+
+    bind maps rho_k and phi_k (k = alpha, beta, mu, nu), theta and varphi to
+    values.  An antipodal spec reads only alpha and mu: as in
+    EntangledSpec.antipodal, beta and nu are alpha and mu negated, their
+    phase advanced by pi.
+    """
+    if antipodal:
+        bind = {**bind, "rho_beta": bind["rho_alpha"], "phi_beta": bind["phi_alpha"] + math.pi,
+                "rho_nu": bind["rho_mu"], "phi_nu": bind["phi_mu"] + math.pi}
+    params = (_param_rows(bind[f"rho_{k}"], bind[f"phi_{k}"], rows) for k in ("alpha", "beta", "mu", "nu"))
+    return _SpecRows(*params, bind["theta"], bind["varphi"])
+
+
 def _abs2(label: complex) -> float:
     # the real part of conj(z) z, bit for bit, so a same-label exponent is exactly 0 at tau = 0
     return (label.conjugate() * label).real
@@ -531,10 +552,14 @@ def antipodal_geometric_phase(spec: EntangledSpec, modes: ModePair) -> float:
     cross-branch one <alpha mu, 0|-alpha -mu, tau>.  Second term: minus the
     dynamical phase delta_1 + delta_2.  Agrees with pair_geometric_phase mod 2 pi.
     """
-    w1t = modes.omega1 * modes.tau
-    w2t = modes.omega2 * modes.tau
-    nsq, delta1, delta2 = _antipodal_parts(spec, w1t, w2t)
-    return overlap_phase(_antipodal_overlap(spec, w1t, w2t, nsq)) - (delta1 + delta2)
+    return _antipodal_phases(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)[0]
+
+
+def _antipodal_phases(spec: EntangledSpec, w1t: float, w2t: float, ops=_Point) -> tuple[float, float]:
+    """(geometric, dynamical) of antipodal_geometric_phase and antipodal_dynamical_phase at omega_k tau = wkt."""
+    nsq, delta1, delta2 = _antipodal_parts(spec, w1t, w2t, ops)
+    dynamical = delta1 + delta2
+    return ops.phase(_antipodal_overlap(spec, w1t, w2t, nsq, ops)) - dynamical, dynamical
 
 
 def _antipodal_overlap(spec: EntangledSpec, w1t: float, w2t: float, nsq: float, ops=_Point) -> complex:

@@ -165,22 +165,8 @@ def _point_inputs(target: str, bind: dict[str, float]) -> tuple:
     return spec, ModePair(bind["omega1"], omega2, bind["tau"])
 
 
-def _param_rows(rho, phi, rows: analytic._Rows) -> analytic._ParamRows:
-    return analytic._ParamRows(rho, rows.rect(rho, phi))
-
-
-def _spec_rows(target: str, bind: dict, rows: analytic._Rows) -> analytic._SpecRows:
-    """The spec of _point_inputs over rows; any binding may be an array."""
-    if target != "pair":
-        # EntangledSpec.antipodal: beta and nu are alpha and mu negated, phase advanced by pi
-        bind = {**bind, "rho_beta": bind["rho_alpha"], "phi_beta": bind["phi_alpha"] + math.pi,
-                "rho_nu": bind["rho_mu"], "phi_nu": bind["phi_mu"] + math.pi}
-    params = (_param_rows(bind[f"rho_{k}"], bind[f"phi_{k}"], rows) for k in ("alpha", "beta", "mu", "nu"))
-    return analytic._SpecRows(*params, bind["theta"], bind["varphi"])
-
-
 def _single_columns(bind: dict, rows: analytic._Rows) -> tuple:
-    alpha = _param_rows(bind["rho"], bind["phi"], rows)
+    alpha = analytic._param_rows(bind["rho"], bind["phi"], rows)
     wt = bind["omega"] * bind["tau"]
     total, dynamical, geometric = analytic._single_phases(alpha, wt, rows)
     overlap = analytic._mode_overlap(alpha.label, alpha.label, wt, rows)
@@ -190,7 +176,7 @@ def _single_columns(bind: dict, rows: analytic._Rows) -> tuple:
 
 def _pairlike_columns(target: str, bind: dict, rows: analytic._Rows) -> tuple:
     # a one-particle row is the antipodal row at omega2 = 0
-    spec = _spec_rows(target, bind, rows)
+    spec = analytic._spec_rows(bind, rows, antipodal=target != "pair")
     omega2 = 0.0 if target == "one-particle" else bind["omega2"]
     w1t, w2t = bind["omega1"] * bind["tau"], omega2 * bind["tau"]
     _, overlap, energy = analytic._branch_sum(spec, w1t, w2t, rows)

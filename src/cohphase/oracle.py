@@ -14,6 +14,17 @@ has a kinematic form that reads only the states along a sampled path, the
 discrete connection sum of arg <psi_k|psi_{k+1}>.  Nothing here uses any
 closed-form expression from the analytic module, and no step after a build
 uses the two-branch structure of the state it built.
+
+Each state step is written once, over a stack of cases that share their
+cutoffs (coefficient arrays along a first axis): _stack builds one,
+_evolved advances it, _overlaps and _energies reduce it, and _stack_phases
+forms the three phases of every case for each of several runs of
+(frequencies, time), with the marginals formed once for all runs.  Every
+reduction runs per case (one vdot, or one dot per mode), so a case's bits do
+not depend on the cases stacked beside it.  A TruncatedState is a stack of
+one: build_coherent, build_entangled, evolve, state_overlap, mean_energy and
+oracle_phases run that body on it.  verify stacks the cases of a chunk, at
+most verify._STACK_CELLS cells per stacked grid.
 """
 
 from __future__ import annotations
@@ -165,6 +176,7 @@ def fock_cutoff(rho: float, tail_bound: float) -> int:
 
 
 def _resolve_cutoff(rhos: Sequence[float], config: OracleConfig) -> int:
+    rhos = dict.fromkeys(rhos)  # an antipodal mode's two labels share one amplitude
     if config.n_max_override is not None:
         n = config.n_max_override
         if n > FOCK_CAP:
@@ -184,21 +196,30 @@ def coherent_amplitudes(alpha: CoherentParam, n_max: int) -> np.ndarray:
     Magnitudes are formed in log space so large amplitudes neither overflow
     nor underflow before the tail.
     """
-    count = n_max + 1
-    if alpha.rho == 0.0:
-        amps = np.zeros(count, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    n = np.arange(count)
-    log_mag = -0.5 * alpha.rho**2 + n * math.log(alpha.rho) - 0.5 * special.gammaln(n + 1.0)
-    return np.exp(log_mag) * np.exp(1j * alpha.phi * n)
+    return _amplitude_stack([alpha], n_max)[0]
+
+
+def _amplitude_stack(labels: Sequence[CoherentParam], n_max: int) -> np.ndarray:
+    """coherent_amplitudes of each label, one row per label: shape (len(labels), n_max + 1).
+
+    rho^2 and log rho come from Python per label (float.__pow__ and
+    math.log), whose last bits numpy's square and log do not always match.
+    """
+    n = np.arange(n_max + 1)
+    # columns -rho^2 / 2, log rho (0 for the vacuum, whose row is set below) and phi
+    head, slope, phi = np.array(
+        [(-0.5 * label.rho**2, math.log(label.rho) if label.rho else 0.0, label.phi) for label in labels]
+    ).T[:, :, None]
+    amps = np.exp(head + n * slope - 0.5 * special.gammaln(n + 1.0)) * np.exp(1j * phi * n)
+    vacuum = [k for k, label in enumerate(labels) if label.rho == 0.0]
+    amps[vacuum] = 0.0
+    amps[vacuum, 0] = 1.0
+    return amps
 
 
 def build_coherent(alpha: CoherentParam, config: OracleConfig | None = None) -> TruncatedState:
     """Truncated coherent state; the squared-norm deficit stays below trunc_tol."""
-    config = config or OracleConfig()
-    n = _resolve_cutoff([alpha.rho], config)
-    return TruncatedState._adopt(coherent_amplitudes(alpha, n), (n,))
+    return _built(alpha, config)
 
 
 def build_entangled(spec: EntangledSpec, config: OracleConfig | None = None) -> TruncatedState:
@@ -211,22 +232,59 @@ def build_entangled(spec: EntangledSpec, config: OracleConfig | None = None) -> 
     matrix product, so the grid is the only one allocated; it is normalized
     in place.
     """
-    config = config or OracleConfig()
-    n1 = _resolve_cutoff([spec.alpha.rho, spec.beta.rho], config)
-    n2 = _resolve_cutoff([spec.mu.rho, spec.nu.rho], config)
-    half = 0.5 * spec.theta
+    return _built(spec, config)
+
+
+def _built(subject: CoherentParam | EntangledSpec, config: OracleConfig | None) -> TruncatedState:
+    """The state of one subject: a stack of one, built at the subject's own cutoffs."""
+    n_max = _cutoffs(subject, config or OracleConfig())
+    return TruncatedState._adopt(_stack([subject], n_max)[0], n_max)
+
+
+def _cutoffs(subject: CoherentParam | EntangledSpec, config: OracleConfig) -> tuple[int, ...]:
+    """Per-mode cutoffs of a subject's state, each covering the tails of the labels on its mode."""
+    if isinstance(subject, CoherentParam):
+        return (_resolve_cutoff([subject.rho], config),)
+    return (
+        _resolve_cutoff([subject.alpha.rho, subject.beta.rho], config),
+        _resolve_cutoff([subject.mu.rho, subject.nu.rho], config),
+    )
+
+
+def _stack(subjects: Sequence[CoherentParam] | Sequence[EntangledSpec], n_max: tuple[int, ...]) -> np.ndarray:
+    """The states of subjects of one kind at shared cutoffs n_max, stacked along a first axis."""
+    if isinstance(subjects[0], CoherentParam):
+        return _amplitude_stack(subjects, *n_max)
+    return _entangled_stack(subjects, n_max)
+
+
+def _entangled_stack(specs: Sequence[EntangledSpec], n_max: tuple[int, int]) -> np.ndarray:
+    """build_entangled's grid of each spec at the shared cutoffs: shape (len(specs), n1 + 1, n2 + 1).
+
+    The matrix product runs once per grid, and each grid's squared norm is
+    its own vdot; the first spec whose grid cancels raises DegenerateStateError.
+    """
+    n1, n2 = n_max
+    varphi = np.array([[spec.varphi] for spec in specs])
+    halves = [0.5 * spec.theta for spec in specs]
+    first_weight = np.exp(-0.5j * varphi) * [[math.cos(half)] for half in halves]
+    second_weight = np.exp(0.5j * varphi) * [[math.sin(half)] for half in halves]
     first_mode = np.stack(
         [
-            np.exp(-0.5j * spec.varphi) * math.cos(half) * coherent_amplitudes(spec.alpha, n1),
-            np.exp(0.5j * spec.varphi) * math.sin(half) * coherent_amplitudes(spec.beta, n1),
+            first_weight * _amplitude_stack([spec.alpha for spec in specs], n1),
+            second_weight * _amplitude_stack([spec.beta for spec in specs], n1),
         ],
+        axis=2,
+    )
+    second_mode = np.stack(
+        [_amplitude_stack([spec.mu for spec in specs], n2), _amplitude_stack([spec.nu for spec in specs], n2)],
         axis=1,
     )
-    second_mode = np.stack([coherent_amplitudes(spec.mu, n2), coherent_amplitudes(spec.nu, n2)])
-    grid = first_mode @ second_mode
-    nsq = _checked_norm_squared(float(np.vdot(grid, grid).real))
-    grid *= 1.0 / math.sqrt(nsq)
-    return TruncatedState._adopt(grid, (n1, n2))
+    grids = first_mode @ second_mode
+    scales = [1.0 / math.sqrt(_checked_norm_squared(float(np.vdot(grid, grid).real))) for grid in grids]
+    # complex already, so that numpy multiplies in place without casting through a buffer
+    grids *= np.array(scales, dtype=complex).reshape(-1, 1, 1)
+    return grids
 
 
 def _mode_frequencies(omegas: OmegaLike, modes: int) -> tuple[float, ...]:
@@ -236,31 +294,68 @@ def _mode_frequencies(omegas: OmegaLike, modes: int) -> tuple[float, ...]:
     return tuple(_checked_nonnegative("omega", w) for w in ws)
 
 
-def _mode_levels(state: TruncatedState, omegas: OmegaLike) -> list[np.ndarray]:
-    """Each mode's energies omega (n + 1/2) for n = 0 .. n_max, one vector per mode."""
-    ws = _mode_frequencies(omegas, state.modes)
-    return [w * (np.arange(n + 1) + 0.5) for w, n in zip(ws, state.n_max)]
+def _mode_levels(sizes: Sequence[int], omegas: np.ndarray) -> list[np.ndarray]:
+    """Each mode's energies omega (n + 1/2), n below the mode's size, one row per case.
+
+    Row k of omegas holds case k's checked frequencies, one per mode.
+    """
+    return [omegas[:, [mode]] * (np.arange(size) + 0.5) for mode, size in enumerate(sizes)]
+
+
+def _state_frequencies(state: TruncatedState, omegas: OmegaLike) -> np.ndarray:
+    """The checked frequencies of one state, as the one row of a stack's."""
+    return np.array([_mode_frequencies(omegas, state.modes)])
+
+
+def _evolved(coeffs: np.ndarray, omegas: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    """A stack advanced case by case: case k picks up e^{-i omega_k (n + 1/2) t_k} per mode.
+
+    The Hamiltonian is separable, so each grid's phase factor is the product
+    of one phase vector per mode; they multiply into one new stack.
+    """
+    t = np.array(times).reshape(-1, 1)
+    first, *rest = [np.exp(-1j * t * mode) for mode in _mode_levels(coeffs.shape[1:], omegas)]
+    out = coeffs * first.reshape(first.shape + (1,) * len(rest))
+    for phases in rest:
+        out *= phases[:, None, :]
+    return out
+
+
+def _overlaps(first: np.ndarray, second: np.ndarray) -> list[complex]:
+    """<first_k|second_k> of two stacks, one vdot per case."""
+    return [complex(np.vdot(a, b)) for a, b in zip(first, second)]
+
+
+def _marginals(coeffs: np.ndarray) -> list[np.ndarray]:
+    """Each mode's marginal of |c|^2, one row per case; evolve leaves them unchanged."""
+    probs = np.abs(coeffs)
+    probs *= probs
+    return [probs.sum(axis=2), probs.sum(axis=1)] if probs.ndim == 3 else [probs]
+
+
+def _energies(marginals: list[np.ndarray], omegas: np.ndarray) -> list[float]:
+    """<H> of each case: per mode, the dot of its energies with its marginal, summed over modes.
+
+    matmul of a stack of row vectors by a stack of column vectors runs one
+    dot per case, so a case's energy does not depend on the cases beside it.
+    """
+    levels = _mode_levels([p.shape[1] for p in marginals], omegas)
+    per_mode = (np.matmul(e[:, None, :], p[:, :, None])[:, 0, 0] for e, p in zip(levels, marginals))
+    return sum(per_mode).tolist()
 
 
 def evolve(state: TruncatedState, omegas: OmegaLike, t: float) -> TruncatedState:
-    """Advance the state by time t: each amplitude picks up e^{-i omega (n + 1/2) t} per mode.
-
-    The Hamiltonian is separable, so the grid's phase factor is the product
-    of one phase vector per mode; they multiply into one new array.
-    """
+    """Advance the state by time t: each amplitude picks up e^{-i omega (n + 1/2) t} per mode."""
     t = _checked_finite("t", t)
-    first, *rest = (np.exp(-1j * t * levels) for levels in _mode_levels(state, omegas))
-    coeffs = state.coeffs * first.reshape(first.shape + (1,) * len(rest))
-    for phases in rest:
-        coeffs *= phases
-    return TruncatedState._adopt(coeffs, state.n_max)
+    evolved = _evolved(state.coeffs[None], _state_frequencies(state, omegas), [t])
+    return TruncatedState._adopt(evolved[0], state.n_max)
 
 
 def state_overlap(first: TruncatedState, second: TruncatedState) -> complex:
     """Inner product <first|second> over a shared truncated basis."""
     if first.n_max != second.n_max:
         raise ValueError(f"basis mismatch: {first.n_max} vs {second.n_max}")
-    return complex(np.vdot(first.coeffs, second.coeffs))
+    return _overlaps(first.coeffs[None], second.coeffs[None])[0]
 
 
 def mean_energy(state: TruncatedState, omegas: OmegaLike) -> float:
@@ -269,11 +364,31 @@ def mean_energy(state: TruncatedState, omegas: OmegaLike) -> float:
     <H> = sum_k sum_n omega_k (n + 1/2) P_k(n), where P_k is mode k's marginal
     of the number distribution |c|^2.
     """
-    levels = _mode_levels(state, omegas)
-    probs = np.abs(state.coeffs)
-    probs *= probs
-    marginals = [probs.sum(axis=1), probs.sum(axis=0)] if state.modes == 2 else [probs]
-    return sum(float(np.dot(energies, p)) for energies, p in zip(levels, marginals))
+    return _energies(_marginals(state.coeffs[None]), _state_frequencies(state, omegas))[0]
+
+
+def _stack_phases(
+    coeffs: np.ndarray, runs: Sequence[tuple[np.ndarray, Sequence[float]]]
+) -> list[list[tuple[float, float, float]]]:
+    """Per run (omegas, taus), (total, dynamical, geometric) of oracle_phases for each case of a stack.
+
+    In a run, case k evolves at the checked frequencies omegas[k] for the
+    checked time taus[k].  The marginals serve every run's energies and are
+    dropped before any stack is evolved, so one evolved stack at a time is
+    live beside coeffs.  The first case whose endpoint overlap vanishes raises.
+    """
+    marginals = _marginals(coeffs)
+    energies = [_energies(marginals, omegas) for omegas, _ in runs]
+    del marginals
+    phases = []
+    for (omegas, taus), run_energies in zip(runs, energies):
+        run_phases = []
+        for overlap, energy, tau in zip(_overlaps(coeffs, _evolved(coeffs, omegas, taus)), run_energies, taus):
+            total = _defined_phase(overlap)
+            dynamical = -energy * tau
+            run_phases.append((total, dynamical, total - dynamical))
+        phases.append(run_phases)
+    return phases
 
 
 def oracle_total_phase(initial: TruncatedState, final: TruncatedState) -> float:
@@ -338,9 +453,7 @@ def oracle_phases(
     """
     tau = _checked_nonnegative("tau", tau)
     state = _subject_state(subject, config)
-    total = oracle_total_phase(state, evolve(state, omegas, tau))
-    dynamical = oracle_dynamical_phase(state, omegas, tau)
-    return PhaseTriple(total, dynamical, total - dynamical)
+    return PhaseTriple(*_stack_phases(state.coeffs[None], [(_state_frequencies(state, omegas), [tau])])[0][0])
 
 
 def oracle_geometric_phase(

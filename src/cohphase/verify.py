@@ -12,6 +12,16 @@ squared norm falls below 1e-6 or an endpoint overlap magnitude falls below
 1e-4, since near-orthogonal configurations amplify rounding without bound;
 cyclic checks draw turn counts l1 in {1..4}, l2 in {0..4} and clamp the mode-1
 frequency to at least 0.25 so the cycle time stays numerically benign.
+
+Cases are drawn one at a time, as a case-by-case loop draws them, and
+evaluated in chunks of _CHUNK_CASES consecutive draws, so memory does not
+grow with the sample count.  In a chunk, each oracle state of the cases (the
+single mode, the pair and its antipodal twin) runs as stacks of cases with
+equal cutoffs, at most _STACK_CELLS cells each, and the eleven closed forms
+run as one pass of analytic's kernels over the chunk's rows.  Every value is
+bit for bit what the public function gives the case alone, and distances
+are recorded in draw order, so the report, worst cases included, is that of
+a case-by-case loop.
 """
 
 from __future__ import annotations
@@ -55,6 +65,30 @@ FAMILY_NAMES = (
 )
 
 
+#: Draws per chunk.  The closed forms of a chunk run as one pass of analytic's
+#: kernels over its cases, and that pass costs mostly per numpy call, so it is
+#: long; a chunk's cases and their rows take about 0.2 MB at this length.
+_CHUNK_CASES = 100
+
+#: Most cells in one stacked oracle grid: 30 desk-scale 33 x 33 grids, about
+#: 0.5 MB of amplitudes.  A grid larger than half of it (a cutoff override of
+#: 128 or more) is stacked alone.
+_STACK_CELLS = 1 << 15
+
+#: Per oracle state of a case and per run of it (_Case.oracle_runs), the families
+#: the run feeds and the phase each reads: 0 total, 1 dynamical, 2 geometric.
+_ORACLE_FIELDS = (
+    ((("single_total", 0), ("single_dynamical", 1), ("single_geometric", 2)),),
+    ((("pair_total", 0), ("pair_dynamical", 1), ("pair_geometric", 2)),),
+    (
+        (("antipodal_geometric", 2), ("antipodal_dynamical", 1)),
+        (("one_particle_geometric", 2),),
+        (("cyclic_pair", 2),),
+        (("cyclic_one_particle", 2),),
+    ),
+)
+
+
 @dataclass
 class FamilyResult:
     """Worst observed deviation for one formula family."""
@@ -93,6 +127,31 @@ class _Case:
     turns1: int
     turns2: int
     cyclic_omega1: float
+
+    def subjects(self) -> tuple[CoherentParam, EntangledSpec, EntangledSpec]:
+        """The oracle's states of the case: the single mode alpha, the pair and its antipodal twin."""
+        return self.spec.alpha, self.spec, self.anti
+
+    def oracle_runs(self) -> tuple[tuple[tuple[tuple[float, ...], float], ...], ...]:
+        """Per state of subjects(), the (omegas, tau) of each oracle run of it.
+
+        The antipodal state runs with both modes, with mode 1 alone, and the
+        same two over (l1, l2) cycles at the clamped mode-1 frequency.
+        """
+        modes = self.modes
+        w1 = self.cyclic_omega1
+        cycle_tau = TWO_PI * self.turns1 / w1
+        w2 = self.turns2 * w1 / self.turns1
+        return (
+            (((modes.omega1,), modes.tau),),
+            (((modes.omega1, modes.omega2), modes.tau),),
+            (
+                ((modes.omega1, modes.omega2), modes.tau),
+                ((modes.omega1, 0.0), modes.tau),
+                ((w1, w2), cycle_tau),
+                ((w1, 0.0), cycle_tau),
+            ),
+        )
 
     def binding(self) -> dict[str, float]:
         spec = self.spec
@@ -156,56 +215,83 @@ def _draw_case(rng: np.random.Generator) -> _Case:
         )
 
 
-def _evaluate_case(case: _Case, config: oracle.OracleConfig, results: dict[str, FamilyResult]) -> None:
-    binding = case.binding()
-    spec, anti, modes = case.spec, case.anti, case.modes
-    omegas = (modes.omega1, modes.omega2)
-    tau = modes.tau
+def _stacks(cutoffs) -> list[tuple[tuple[int, ...], list[int]]]:
+    """(cutoffs, indices) of each stack of cases: cases with equal cutoffs, in draw order, in stacks
+    of at most _STACK_CELLS cells or of one case."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for index, n_max in enumerate(cutoffs):
+        groups.setdefault(n_max, []).append(index)
+    stacks = []
+    for n_max, indices in groups.items():
+        size = max(1, _STACK_CELLS // math.prod(n + 1 for n in n_max))
+        stacks += [(n_max, indices[start:start + size]) for start in range(0, len(indices), size)]
+    return stacks
 
-    triple = analytic.single_phases(spec.alpha, modes.omega1, tau)
-    sim = oracle.oracle_phases(spec.alpha, modes.omega1, tau, config)
-    results["single_total"].record(circle_distance(triple.total, sim.total), binding)
-    results["single_dynamical"].record(circle_distance(triple.dynamical, sim.dynamical), binding)
-    results["single_geometric"].record(circle_distance(triple.geometric, sim.geometric), binding)
 
-    sim = oracle.oracle_phases(spec, omegas, tau, config)
-    results["pair_total"].record(
-        circle_distance(analytic.pair_total_phase(spec, modes), sim.total), binding
-    )
-    results["pair_dynamical"].record(
-        circle_distance(analytic.pair_dynamical_phase(spec, modes), sim.dynamical), binding
-    )
-    results["pair_geometric"].record(
-        circle_distance(analytic.pair_geometric_phase(spec, modes), sim.geometric), binding
-    )
+def _oracle_values(chunk: list[tuple[_Case, tuple]]) -> dict[str, list[float]]:
+    """Each family's oracle phase for each case of a chunk, in case order.
 
-    anti_state = oracle.build_entangled(anti, config)
-    sim = oracle.oracle_phases(anti_state, omegas, tau)
-    results["antipodal_geometric"].record(
-        circle_distance(analytic.antipodal_geometric_phase(anti, modes), sim.geometric), binding
-    )
-    results["antipodal_dynamical"].record(
-        circle_distance(analytic.antipodal_dynamical_phase(anti, modes), sim.dynamical), binding
-    )
+    Per oracle state of a case (_Case.subjects), the chunk's cases are
+    stacked by cutoff (_stacks); each stack and its marginals are built once,
+    and each of the state's runs is one pass of the oracle's stacked body.
+    """
+    values = {name: [math.nan] * len(chunk) for name in FAMILY_NAMES}
+    subjects = [case.subjects() for case, _ in chunk]
+    runs = [case.oracle_runs() for case, _ in chunk]
+    for state, fields in enumerate(_ORACLE_FIELDS):
+        for n_max, group in _stacks(cutoffs[state] for _, cutoffs in chunk):
+            stack = oracle._stack([subjects[index][state] for index in group], n_max)
+            state_runs = []
+            for run in range(len(fields)):
+                omegas, taus = zip(*(runs[index][state][run] for index in group))
+                state_runs.append((np.array(omegas), taus))
+            phases = oracle._stack_phases(stack, state_runs)
+            del stack  # before the next stack is built
+            for run_phases, run_fields in zip(phases, fields):
+                for index, triple in zip(group, run_phases):
+                    for name, field in run_fields:
+                        values[name][index] = triple[field]
+    return values
 
-    o_geo = oracle.oracle_geometric_phase(anti_state, (modes.omega1, 0.0), tau)
-    results["one_particle_geometric"].record(
-        circle_distance(analytic.one_particle_geometric_phase(anti, modes.omega1, tau), o_geo),
-        binding,
-    )
 
-    w1 = case.cyclic_omega1
-    cycle_tau = TWO_PI * case.turns1 / w1
-    w2 = case.turns2 * w1 / case.turns1
-    o_geo = oracle.oracle_geometric_phase(anti_state, (w1, w2), cycle_tau)
-    results["cyclic_pair"].record(
-        circle_distance(analytic.cyclic_pair_phase(anti, case.turns1, case.turns2), o_geo),
-        binding,
-    )
-    o_geo = oracle.oracle_geometric_phase(anti_state, (w1, 0.0), cycle_tau)
-    results["cyclic_one_particle"].record(
-        circle_distance(analytic.cyclic_single_phase(anti, case.turns1), o_geo), binding
-    )
+def _closed_form_values(bindings: list[dict[str, float]]) -> dict[str, np.ndarray]:
+    """Each family's closed form for each case of a chunk, from one pass of analytic's kernels over rows.
+
+    Row k is bit for bit the public closed form of case k, as a sweep row is.
+    The draw keeps every case clear of degenerate states and vanishing
+    overlaps, so no row ends there; a row that did would read NaN, which
+    circle_distance rejects.
+    """
+    bind = {key: np.array([binding[key] for binding in bindings]) for key in bindings[0]}
+    rows = analytic._Rows(len(bindings))
+    with np.errstate(all="ignore"):
+        spec = analytic._spec_rows(bind, rows)
+        anti = analytic._spec_rows(bind, rows, antipodal=True)
+        tau, l1, l2 = bind["tau"], bind["l1"], bind["l2"]
+        w1t, w2t = bind["omega1"] * tau, bind["omega2"] * tau
+        single = analytic._single_phases(spec.alpha, w1t, rows)
+        _, overlap, energy = analytic._branch_sum(spec, w1t, w2t, rows)
+        pair_total = rows.phase(overlap)
+        antipodal = analytic._antipodal_phases(anti, w1t, w2t, rows)
+        one_particle, _ = analytic._antipodal_phases(anti, w1t, 0.0 * tau, rows)
+        # cyclic_pair_parts; delta_1 does not depend on omega2, so mode 1's part is cyclic_single_phase
+        _, delta1, delta2 = analytic._antipodal_parts(anti, TWO_PI * l1, TWO_PI * l2, rows)
+        cyclic1 = -math.pi * l1 - delta1
+        cyclic2 = -math.pi * l2 - delta2
+    rows.raise_first()
+    columns = (*single, pair_total, -energy, pair_total + energy, *antipodal, one_particle, cyclic1 + cyclic2, cyclic1)
+    return dict(zip(FAMILY_NAMES, columns))
+
+
+def _evaluate_chunk(chunk: list[tuple[_Case, tuple]], results: dict[str, FamilyResult]) -> None:
+    """Record every family's distance for each case of the chunk, in case order."""
+    bindings = [case.binding() for case, _ in chunk]
+    simulated = _oracle_values(chunk)
+    closed = _closed_form_values(bindings)
+    for name in FAMILY_NAMES:
+        family = results[name]
+        for closed_value, simulated_value, binding in zip(closed[name].tolist(), simulated[name], bindings):
+            family.record(circle_distance(closed_value, simulated_value), binding)
 
 
 def run_verification(
@@ -214,7 +300,12 @@ def run_verification(
     tolerance: float = 1e-8,
     config: oracle.OracleConfig | None = None,
 ) -> VerificationReport:
-    """Draw `samples` random cases and compare every family against the oracle."""
+    """Draw `samples` random cases and compare every family against the oracle.
+
+    Cases are drawn one at a time and evaluated in chunks of _CHUNK_CASES
+    draws.  A case's cutoffs are resolved as it is drawn, so the first case
+    that cannot meet its cutoff raises.
+    """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
@@ -222,8 +313,13 @@ def run_verification(
     config = config or oracle.OracleConfig()
     rng = np.random.default_rng(seed)
     results = {name: FamilyResult(name) for name in FAMILY_NAMES}
-    for _ in range(samples):
-        _evaluate_case(_draw_case(rng), config, results)
+    chunk: list[tuple[_Case, tuple]] = []
+    for drawn in range(1, samples + 1):
+        case = _draw_case(rng)
+        chunk.append((case, tuple(oracle._cutoffs(subject, config) for subject in case.subjects())))
+        if len(chunk) == _CHUNK_CASES or drawn == samples:
+            _evaluate_chunk(chunk, results)
+            chunk = []
     return VerificationReport(
         seed=seed,
         samples=samples,

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from cohphase import CapacityError, CoherentParam, EntangledSpec, analytic, cli, oracle_geometric_phase
+from cohphase import CapacityError, CoherentParam, EntangledSpec, analytic, cli, oracle_geometric_phase, verify
 from cohphase.cli import main
+from cohphase.oracle import poisson_tail
 
 PI = math.pi
 
@@ -572,6 +574,22 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err == "error: cutoff override 4097 exceeds the cap 4096\n"
+
+    @pytest.mark.parametrize(
+        "n_max, err",
+        [
+            ("5", "error: cutoff override 5 leaves tail mass 3.523e-05 >= 1.0e-12\n"),
+            ("4097", "error: cutoff override 4097 exceeds the cap 4096\n"),
+        ],
+    )
+    def test_cutoff_failure_is_exact(self, capsys, n_max, err):
+        code, out, printed = run_cli(capsys, ["verify", "--samples", "3", "--seed", "1", "--n-max", n_max])
+        assert (code, out, printed) == (2, "", err)
+
+    def test_first_drawn_case_raises(self):
+        # the tail mass printed above is that of the first draw's alpha, the first label the oracle meets
+        alpha = verify._draw_case(np.random.default_rng(1)).spec.alpha
+        assert f"{poisson_tail(alpha.rho**2, 5):.3e}" == "3.523e-05"
 
     def test_capacity_error_exit_code(self, capsys, monkeypatch):
         def over_cap(**kwargs):
