@@ -15,6 +15,12 @@ discrete connection sum of arg <psi_k|psi_{k+1}>.  Nothing here uses any
 closed-form expression from the analytic module, and no step after a build
 uses the two-branch structure of the state it built.
 
+Each mode's cutoff bounds the Poisson(rho^2) mass of its number
+distribution above it (fock_cutoff, poisson_tail).  Amplitudes and tails
+read log n! from one math.lgamma table built at import; tails sum the pmf,
+formed in log space, smallest term first, or for a mean past about 1.1e5
+take Temme's uniform asymptotic expansion.  numpy is the only dependency.
+
 Each state step is written once, over a stack of cases that share their
 cutoffs (coefficient arrays along a first axis): _stack builds one,
 _evolved advances it, _overlaps and _energies reduce it, and _stack_phases
@@ -35,7 +41,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .core import (
     DEFAULT_OVERLAP_EPS,
@@ -74,6 +79,14 @@ FOCK_FLOOR = 32
 
 #: Hard cap on the per-mode cutoff, automatic or overridden, guarding against huge allocations.
 FOCK_CAP = 4096
+
+#: log 2^55: terms that fall geometrically, each at most half the one before, may stop
+#: once they have fallen by this factor, since what follows is below 2^-54 of the sum.
+_TAIL_DROP = 55.0 * math.log(2.0)
+
+#: Most terms one Poisson sum may take.  Only a mean past about 1.1e5 needs more, and
+#: there the log-space pmf has lost more to rounding than _uniform_tail does.
+_TAIL_TERMS = 1 << 12
 
 OmegaLike = Union[float, Sequence[float]]
 Subject = Union[CoherentParam, EntangledSpec, "TruncatedState"]
@@ -145,33 +158,143 @@ class TruncatedState:
 
 
 def poisson_tail(mean: float, cutoff: int) -> float:
-    """Probability mass of a Poisson(mean) variable strictly above cutoff."""
-    if mean <= 0.0:
+    """Probability mass of a Poisson(mean) variable strictly above cutoff.
+
+    The pmf is formed in log space, as k log(mean) - mean - log k!, on the
+    side of the cutoff away from the mean and added up smallest term first:
+    the terms above it when cutoff + 1 >= mean, else those at or below it,
+    whose sum is one minus the tail.  The relative error follows the rounding
+    of k log(mean) and log k!, below 2e-11 for means up to FOCK_CAP, and
+    grows with the mean past it.  A sum of more than _TAIL_TERMS terms gives
+    way to _uniform_tail, whose error shrinks as the mean grows: both stay
+    below 2e-9, their worst near the switch at a mean of about 1.1e5.  An
+    infinite mean or a negative cutoff leaves all the mass above the cutoff;
+    a NaN or negative mean raises ValueError.
+    """
+    if not mean >= 0.0:
+        raise ValueError(f"Poisson mean must be a non-negative number, got {mean!r}")
+    if cutoff < 0 or mean == math.inf:
+        return 1.0
+    if mean == 0.0:
         return 0.0
-    return float(special.gammainc(cutoff + 1, mean))
+    above = cutoff + 1 >= mean
+    if above:
+        terms = _series_terms(mean, mean / (cutoff + 2))
+    else:
+        terms = min(cutoff + 1, _series_terms(mean, cutoff / mean))
+    if terms > _TAIL_TERMS:
+        return _uniform_tail(mean, cutoff)
+    if above:
+        return float(_upper_tails(mean, cutoff, cutoff)[0])
+    return 1.0 - float(np.cumsum(_pmf_terms(mean, cutoff + 1 - terms, cutoff + 1))[-1])
+
+
+def _upper_tails(mean: float, first: int, last: int) -> np.ndarray:
+    """Poisson(mean) mass above each cutoff from first to last, first + 1 >= mean: one suffix sum.
+
+    The terms above first, up to where the rest falls below 2^-54 of the
+    last tail, are added from the top down, so smallest term first.
+    """
+    top = last + 1 + _series_terms(mean, mean / (last + 2))
+    return np.cumsum(_pmf_terms(mean, first + 1, top)[::-1])[::-1][: last + 1 - first]
+
+
+def _pmf_terms(mean: float, lo: int, hi: int) -> np.ndarray:
+    """Poisson(mean) probabilities of lo <= k < hi, formed in log space."""
+    return np.exp(np.arange(lo, hi) * math.log(mean) - mean - _log_factorials(lo, hi))
+
+
+def _pmf(mean: float, k: int) -> float:
+    """Poisson(mean) probability of k, formed as _pmf_terms forms each term."""
+    return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0))
+
+
+def _tail_bound(mean: float, cutoff: int) -> float:
+    """An upper bound on poisson_tail(mean, cutoff) from one pmf term; 1.0 unless cutoff + 2 > mean.
+
+    The terms above cutoff fall by mean / (cutoff + 2) or faster, so their sum
+    is at most the first of them over one minus that ratio.
+    """
+    if not cutoff + 2 > mean:
+        return 1.0
+    if mean == 0.0:
+        return 0.0
+    return _pmf(mean, cutoff + 1) * (cutoff + 2) / (cutoff + 2 - mean)
+
+
+def _series_terms(mean: float, ratio: float) -> int:
+    """Terms of a Poisson pmf sum, from its largest outward, that leave a rest below 2^-54 of the sum.
+
+    ratio bounds each term's ratio to the one before it.  Up to 1/2 the rest
+    is at most a geometric series.  Past it the terms fall at least like a
+    Gaussian of variance mean: 12 sqrt(mean) + 60 of them bring the last
+    below e^-49 of the first, and the rest is at most sqrt(mean) / 12 times
+    the last.
+    """
+    if 0.0 < ratio <= 0.5:
+        return math.ceil(_TAIL_DROP / -math.log(ratio))
+    return math.ceil(12.0 * math.sqrt(mean)) + 60
+
+
+def _uniform_tail(mean: float, cutoff: int) -> float:
+    """poisson_tail for a large cutoff + 1 = a, from Temme's uniform asymptotic expansion.
+
+    The tail is the regularized incomplete gamma function P(a, mean) =
+    erfc(-eta sqrt(a / 2)) / 2 - R, with eta^2 / 2 = lam - 1 - log(lam) and
+    lam = mean / a, and R = e^(-a eta^2 / 2) / sqrt(2 pi a) (c0 + O(1 / a)),
+    c0 = 1 / (lam - 1) - 1 / eta (DLMF 8.12).  Near lam = 1 both take their
+    series in lam - 1 and eta, which the direct forms lose to cancellation.
+    Keeping c0 alone leaves a relative error of order 1 / a: about 1e-9 at
+    the a near 1.1e5 where poisson_tail first calls it, 5e-13 past 3e7.
+    """
+    a = cutoff + 1.0
+    mu = (mean - a) / a
+    if abs(mu) < 0.01:
+        half_eta2 = mu * mu * sum((-mu) ** j / (j + 2) for j in range(8))
+    else:
+        half_eta2 = mu - math.log1p(mu)
+    eta = math.copysign(math.sqrt(2.0 * half_eta2), mu)
+    if abs(eta) < 1e-3:
+        c0 = -1.0 / 3.0 + eta * (1.0 / 12.0 + eta * (-2.0 / 135.0 + eta / 864.0))
+    else:
+        c0 = 1.0 / mu - 1.0 / eta
+    rest = math.exp(-a * half_eta2) / math.sqrt(2.0 * math.pi * a) * c0
+    return 0.5 * math.erfc(-eta * math.sqrt(0.5 * a)) - rest
+
+
+def _log_factorials(lo: int, hi: int) -> np.ndarray:
+    """log k! for lo <= k < hi: a slice of _LOG_FACTORIAL where it reaches, else from math.lgamma."""
+    if hi <= _LOG_FACTORIAL.size:
+        return _LOG_FACTORIAL[lo:hi]
+    return np.fromiter(map(math.lgamma, range(lo + 1, hi + 1)), float, hi - lo)
+
+
+#: log n! from math.lgamma, up to FOCK_CAP for the amplitudes and past it as far as
+#: fock_cutoff's suffix sum reaches.
+_LOG_FACTORIAL = np.fromiter(map(math.lgamma, range(1, FOCK_CAP + 2 + _series_terms(FOCK_CAP, 1.0))), float)
 
 
 def fock_cutoff(rho: float, tail_bound: float) -> int:
     """Smallest cutoff whose Poisson(rho^2) tail mass stays below tail_bound.
 
     The search starts at max(FOCK_FLOOR, ceil(rho^2)) and raises CapacityError
-    past FOCK_CAP, also where rho^2 overflows.  The first candidate is checked
-    alone, since it passes for every desk-scale amplitude; past it the tails of
-    a window of candidates come from one vectorized gammainc call, and a window
-    of about ten standard deviations nearly always holds the answer.
+    past FOCK_CAP, also where rho^2 overflows.  The first candidate n is
+    checked alone, against a bound on its tail from one log-space pmf term
+    (_tail_bound), which passes for every desk-scale amplitude.  Where it
+    does not, one suffix sum gives the tail of every candidate from n to
+    FOCK_CAP (see poisson_tail).
     """
     mean = rho * rho
     # a mean past the cap starts past it, so an infinite one never reaches ceil
-    n = max(FOCK_FLOOR, math.ceil(min(mean, FOCK_CAP + 1)))
-    if n <= FOCK_CAP and not poisson_tail(mean, n) >= tail_bound:
-        return n
-    width = max(FOCK_FLOOR, math.ceil(10.0 * rho))
-    while n < FOCK_CAP:
-        candidates = np.arange(n + 1, min(n + width, FOCK_CAP) + 1)
-        passing = np.flatnonzero(~(special.gammainc(candidates + 1, mean) >= tail_bound))
-        if passing.size:
-            return int(candidates[passing[0]])
-        n = int(candidates[-1])
+    n = FOCK_FLOOR if mean <= FOCK_FLOOR else math.ceil(min(mean, FOCK_CAP + 1))
+    if n <= FOCK_CAP:
+        if not _tail_bound(mean, n) >= tail_bound:
+            return n
+        # every tail of the vacuum is 0, so none passes a bound that the first missed
+        if mean > 0.0:
+            passing = np.flatnonzero(~(_upper_tails(mean, n, FOCK_CAP) >= tail_bound))
+            if passing.size:
+                return n + int(passing[0])
     raise CapacityError(f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}")
 
 
@@ -210,7 +333,7 @@ def _amplitude_stack(labels: Sequence[CoherentParam], n_max: int) -> np.ndarray:
     head, slope, phi = np.array(
         [(-0.5 * label.rho**2, math.log(label.rho) if label.rho else 0.0, label.phi) for label in labels]
     ).T[:, :, None]
-    amps = np.exp(head + n * slope - 0.5 * special.gammaln(n + 1.0)) * np.exp(1j * phi * n)
+    amps = np.exp(head + n * slope - 0.5 * _log_factorials(0, n_max + 1)) * np.exp(1j * phi * n)
     vacuum = [k for k, label in enumerate(labels) if label.rho == 0.0]
     amps[vacuum] = 0.0
     amps[vacuum, 0] = 1.0

@@ -35,22 +35,53 @@ from cohphase import (
     quadrature_dynamical_phase,
     state_overlap,
 )
+from cohphase import oracle
 from cohphase.oracle import FOCK_CAP, FOCK_FLOOR
 
 PI = math.pi
 
 
 def sequential_cutoff(rho, tail_bound):
-    """Reference search: one Poisson tail per step from max(FOCK_FLOOR, ceil(rho^2)) up to FOCK_CAP."""
+    """Reference search: one Poisson tail per step from max(FOCK_FLOOR, ceil(rho^2)) up to FOCK_CAP.
+
+    Each tail is scipy's regularized lower incomplete gamma function,
+    P(N > n) = gammainc(n + 1, mean), which shares no code with the package.
+    """
     mean = rho * rho
     if mean > FOCK_CAP:
         raise CapacityError(f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}")
     n = max(FOCK_FLOOR, math.ceil(mean))
-    while n > FOCK_CAP or poisson_tail(mean, n) >= tail_bound:
+    while n > FOCK_CAP or special.gammainc(n + 1, mean) >= tail_bound:
         if n >= FOCK_CAP:
             raise CapacityError(f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}")
         n += 1
     return n
+
+
+def gammaln_amplitudes(alpha, n_max):
+    """coherent_amplitudes' formula with log n! from scipy's gammaln; also returns each magnitude's exponent."""
+    n = np.arange(n_max + 1)
+    log_factorial = special.gammaln(n + 1.0)
+    exponent = -0.5 * alpha.rho**2 + n * math.log(alpha.rho) - 0.5 * log_factorial
+    return np.exp(exponent) * np.exp(1j * alpha.phi * n), exponent, log_factorial
+
+
+def stirling_tail(mean, cutoff):
+    """Reference Poisson tail for a mean past 5e4, summed like poisson_tail but with each term from Stirling.
+
+    log pmf(k) = -mean phi(d) - log(2 pi k) / 2 - 1 / (12 k) + 1 / (360 k^3), with
+    d = k / mean - 1 and phi(d) = (1 + d) log(1 + d) - d from its series, keeps
+    the digits that k log(mean) - mean - log k! loses to rounding at such means.
+    """
+    span = int(14.0 * math.sqrt(mean)) + 100
+    above = cutoff + 1 >= mean
+    k = np.arange(cutoff + 1, cutoff + 1 + span) if above else np.arange(cutoff + 1 - span, cutoff + 1)
+    d = (k - mean) / mean
+    phi = np.zeros_like(d)
+    for j in range(20, 1, -1):
+        phi = phi * -d + 1.0 / (j * (j - 1))
+    terms = np.exp(-mean * phi * d * d - 0.5 * np.log(2.0 * math.pi * k) - 1.0 / (12.0 * k) + 1.0 / (360.0 * k**3.0))
+    return float(np.sum(terms[::-1])) if above else 1.0 - float(np.sum(terms))
 
 
 def cutoff_outcome(search, rho, tail_bound):
@@ -120,11 +151,12 @@ class TestCutoff:
         with pytest.raises(CapacityError, match="exceeds the cap"):
             build_coherent(CoherentParam(1.0), OracleConfig(n_max_override=FOCK_CAP + 1))
 
-    @pytest.mark.parametrize("tail_bound", [1e-12, 1e-6, 1e-15])
+    @pytest.mark.parametrize("tail_bound", [1e-12, 1e-6, 1e-15, 1e-10, 1e-14, 0.5, 1e-100])
     def test_matches_sequential_search(self, tail_bound):
         rhos = np.concatenate([np.linspace(0.0, 60.0, 241), np.random.default_rng(3).uniform(0.0, 60.0, 40)])
         for rho in rhos:
-            assert fock_cutoff(rho, tail_bound) == sequential_cutoff(rho, tail_bound), rho
+            # at 1e-100 the cutoff passes the cap from rho = 53.7 on
+            assert cutoff_outcome(fock_cutoff, rho, tail_bound) == cutoff_outcome(sequential_cutoff, rho, tail_bound), rho
 
     def test_capacity_error_matches_sequential_search(self):
         # the 1e-12 cutoff is FOCK_CAP on about [60.513, 60.520]; past rho = 64 even the first
@@ -139,15 +171,76 @@ class TestCutoff:
         assert loose == [f"amplitude rho=70.0 needs a Fock cutoff above the cap {FOCK_CAP}"] * 2
 
     def test_desk_cutoff_is_one_tail(self, monkeypatch):
-        calls = []
-        gammainc = special.gammainc
-        monkeypatch.setattr(special, "gammainc", lambda a, x: calls.append(a) or gammainc(a, x))
+        # the desk candidate is settled by one pmf term's bound on its tail, with no
+        # poisson_tail and no suffix sum; past it one suffix sum covers the candidates up to the cap
+        pmfs, suffix_sums, tails = [], [], []
+        pmf, upper_tails = oracle._pmf, oracle._upper_tails
+        monkeypatch.setattr(oracle, "_pmf", lambda *args: pmfs.append(args) or pmf(*args))
+        monkeypatch.setattr(oracle, "_upper_tails", lambda *args: suffix_sums.append(args) or upper_tails(*args))
+        monkeypatch.setattr(oracle, "poisson_tail", lambda *args: tails.append(args))
         assert fock_cutoff(1.5, 1e-12) == FOCK_FLOOR
-        assert calls == [FOCK_FLOOR + 1]
+        assert pmfs == [(2.25, FOCK_FLOOR + 1)]
+        assert suffix_sums == tails == []
+        assert fock_cutoff(3.0, 1e-12) == sequential_cutoff(3.0, 1e-12)
+        assert suffix_sums == [(9.0, FOCK_FLOOR, FOCK_CAP)]
+        assert tails == []
 
     def test_poisson_tail_monotone(self):
         tails = [poisson_tail(4.0, n) for n in range(4, 40)]
         assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+    def test_poisson_tail_matches_gammainc(self):
+        # the log-space pmf rounds k log(mean) and log k!, each up to about 4e4 at
+        # the cap, to 7e-12; this grid's worst is 8.5e-12
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for mean in np.concatenate([np.geomspace(1e-6, FOCK_CAP, 60), rng.uniform(0.0, FOCK_CAP, 20)]):
+            spread = 12.0 * math.sqrt(mean)
+            band = np.linspace(max(0.0, mean - spread - 5.0), mean + spread + 60.0, 40).astype(int)
+            for cutoff in {*range(8), *band.tolist()}:
+                reference = float(special.gammainc(cutoff + 1, mean))
+                if reference > 1e-290:
+                    worst = max(worst, abs(poisson_tail(float(mean), cutoff) / reference - 1.0))
+        assert worst < 2e-11
+
+    def test_poisson_tail_small_mean_keeps_precision(self):
+        # the mass above 0 is 1 - e^-mean; summed from the top it keeps its digits
+        for mean in (1e-12, 1e-6, 0.3):
+            assert poisson_tail(mean, 0) == pytest.approx(-math.expm1(-mean), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "mean, cutoff",
+        [(0.0, -1), (2.0, -5), (2.0, -1), (math.inf, 0), (math.inf, FOCK_CAP), (1e300, FOCK_CAP)],
+    )
+    def test_poisson_tail_all_mass_above(self, mean, cutoff):
+        assert poisson_tail(mean, cutoff) == 1.0
+
+    def test_poisson_tail_no_mass_above(self):
+        assert poisson_tail(0.0, 0) == poisson_tail(0.0, 7) == 0.0
+        assert poisson_tail(4.0, 10**9) == 0.0
+
+    @pytest.mark.parametrize("mean", [math.nan, -1.0, -1e-300, -math.inf])
+    def test_poisson_tail_rejects_mean(self, mean):
+        with pytest.raises(ValueError, match="non-negative"):
+            poisson_tail(mean, 3)
+
+    def test_poisson_tail_large_mean_matches_a_stirling_sum(self):
+        # sums up to a mean of about 1.1e5, Temme's expansion past it; both within 2e-9
+        for mean in (6e4, 1.1e5, 1.2e5, 1e6, 1e8):
+            for z in np.linspace(-37.0, 37.0, 75):
+                cutoff = round(mean + z * math.sqrt(mean))
+                reference = stirling_tail(mean, cutoff)
+                if reference > 1e-300:
+                    assert poisson_tail(mean, cutoff) == pytest.approx(reference, rel=2e-9), (mean, z)
+
+    def test_poisson_tail_huge_mean(self):
+        # too many terms to sum: the tails still fall with the cutoff, and one standard
+        # deviation above the mean the tail is the normal one to O(1 / sqrt(mean))
+        mean = 1e12
+        tails = [poisson_tail(mean, cutoff) for cutoff in range(10**12 - 10**7, 10**12 + 10**7 + 1, 10**5)]
+        assert tails[0] == 1.0 and 0.0 < tails[-1] < 1e-22
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        assert poisson_tail(mean, 10**12 + 10**6) == pytest.approx(0.5 * math.erfc(math.sqrt(0.5)), rel=1e-5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -195,6 +288,37 @@ class TestBuildCoherent:
         for rho in (0.3, 1.0, 2.5):
             state = build_coherent(CoherentParam(rho))
             assert abs(state.norm_squared() - 1.0) < 1e-12
+
+    def test_desk_amplitudes_match_a_gammaln_build(self):
+        # verify's amplitudes (rho <= 1.5) at its cutoff and at the cap
+        for rho in np.linspace(0.05, 1.5, 30):
+            alpha = CoherentParam(float(rho), 2.0 * rho)
+            for n_max in (FOCK_FLOOR, FOCK_CAP):
+                ours, (reference, _, _) = coherent_amplitudes(alpha, n_max), gammaln_amplitudes(alpha, n_max)
+                assert np.linalg.norm(ours - reference) <= 1e-15 * np.linalg.norm(reference)
+
+    def test_amplitudes_past_the_log_factorial_table(self):
+        # coherent_amplitudes takes any n_max; past the table log n! comes from math.lgamma.
+        # Near n = 3600 math.lgamma and gammaln lie 1.3 and 1.8 ulp either side of log n!,
+        # which moves an amplitude by up to 1.6 ulp of log n! relative
+        alpha = CoherentParam(60.0, 0.4)
+        n_max = FOCK_CAP + 1000
+        reference, exponent, log_factorial = gammaln_amplitudes(alpha, n_max)
+        ours = coherent_amplitudes(alpha, n_max)
+        assert ours.shape == (n_max + 1,)
+        bound = 2.0 * np.spacing(log_factorial) + 2.0 * np.spacing(np.abs(exponent)) + 16.0 * np.finfo(float).eps
+        assert np.all(np.abs(ours - reference) <= bound * np.abs(reference))
+
+    def test_amplitudes_move_only_with_the_last_bit_of_log_factorial(self):
+        # math.lgamma and gammaln differ in the last bit of log n! for about half of
+        # n <= FOCK_CAP; half an ulp of it, and a rounding of the exponent, move an
+        # amplitude by that much relative (7e-15 at n = 32), and no more
+        for rho in (0.7, 3.0, 8.0, 20.0, 36.0):
+            alpha = CoherentParam(rho, 0.4)
+            n_max = fock_cutoff(rho, 1e-12)
+            reference, exponent, log_factorial = gammaln_amplitudes(alpha, n_max)
+            bound = np.spacing(log_factorial) + 2.0 * np.spacing(np.abs(exponent)) + 16.0 * np.finfo(float).eps
+            assert np.all(np.abs(coherent_amplitudes(alpha, n_max) - reference) <= bound * np.abs(reference))
 
     def test_coeffs_are_read_only(self):
         state = build_coherent(CoherentParam(1.0))

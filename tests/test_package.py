@@ -1,5 +1,10 @@
 """The package surface: cohphase re-exports each module's __all__ and nothing else."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import cohphase
 from cohphase import analytic, core, oracle, verify
 
@@ -43,3 +48,20 @@ def test_names_left_out_of_the_surface_stay_importable():
     assert (FOCK_FLOOR, FOCK_CAP, GENERATOR_NAME) == (32, 4096, "numpy PCG64")
     assert FamilyResult("x").max_distance == 0.0
     assert not {"FOCK_FLOOR", "FOCK_CAP", "GENERATOR_NAME", "FamilyResult"} & set(cohphase.__all__)
+
+
+def test_commands_never_import_scipy():
+    # scipy is a test-only reference; a command that imported it would pay about 0.2 s
+    code = "\n".join([
+        "import sys",
+        "from cohphase.cli import main",
+        "assert main(['verify', '--samples', '3', '--seed', '1']) == 0",
+        "assert main(['single', '--rho', '1', '--omega', '1', '--tau', '1']) == 0",
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))",
+    ])
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
