@@ -2,18 +2,22 @@
 
 States are dense complex coefficient vectors over number states |n> (one
 mode) or a rectangular grid |n1, n2> (two modes).  The Hamiltonian
-sum_k omega_k (n_k + 1/2) is diagonal and separable, so evolution multiplies
-the coefficients by one phase vector e^{-i omega_k (n + 1/2) t} per mode, and
-the mean energy sums omega_k (n + 1/2) against each mode's marginal of |c|^2;
-neither forms a grid of energies.  The total, dynamical, and geometric phases
-then come straight from their definitions: the argument of the endpoint
-overlap, the conserved-energy value -<H> tau, and their difference.
-oracle_phases is the one path that evolves a state and forms all three;
-oracle_geometric_phase reads its geometric phase.  The dynamical phase also
-has a kinematic form that reads only the states along a sampled path, the
-discrete connection sum of arg <psi_k|psi_{k+1}>.  Nothing here uses any
-closed-form expression from the analytic module, and no step after a build
-uses the two-branch structure of the state it built.
+sum_k omega_k (n_k + 1/2) is diagonal and separable, so evolve multiplies
+the coefficients by one phase vector e^{-i omega_k (n + 1/2) t} per mode,
+and no grid of energies is formed.  The total,
+dynamical, and geometric phases come straight from their definitions: the
+argument of the endpoint overlap <psi|e^{-iH tau}|psi>, the conserved-energy
+value -<H> tau, and their difference.  H being diagonal, both the overlap,
+sum_n |c_n|^2 e^{-i E_n tau}, and <H> depend only on the number distribution
+P = |c|^2, so oracle_phases reads all three off P and never forms an evolved
+state; oracle_geometric_phase reads its geometric phase, and mean_energy
+sums each mode's energies against that mode's marginal of P.  evolve,
+state_overlap and oracle_total_phase keep the dense route, for arbitrary
+pairs of states.  The dynamical phase also has a kinematic form that reads
+only the states along a sampled path, the discrete connection sum of
+arg <psi_k|psi_{k+1}>.  Nothing here uses any closed-form expression from
+the analytic module, and no step after a build uses the two-branch
+structure of the state it built.
 
 Each mode's cutoff bounds the Poisson(rho^2) mass of its number
 distribution above it (fock_cutoff, poisson_tail).  Amplitudes and tails
@@ -23,14 +27,14 @@ take Temme's uniform asymptotic expansion.  numpy is the only dependency.
 
 Each state step is written once, over a stack of cases that share their
 cutoffs (coefficient arrays along a first axis): _stack builds one,
-_evolved advances it, _overlaps and _energies reduce it, and _stack_phases
-forms the three phases of every case for each of several runs of
-(frequencies, time), with the marginals formed once for all runs.  Every
-reduction runs per case (one vdot, or one dot per mode), so a case's bits do
-not depend on the cases stacked beside it.  A TruncatedState is a stack of
-one: build_coherent, build_entangled, evolve, state_overlap, mean_energy and
-oracle_phases run that body on it.  verify stacks the cases of a chunk, at
-most verify._STACK_CELLS cells per stacked grid.
+_probabilities forms its number distributions, and _stack_phases forms the
+three phases of every case for each of several runs of (frequencies, time),
+from the distributions and their marginals (_endpoint_overlaps, _energies).
+Every reduction runs per case (one matrix product or dot per case and
+mode), so a case's bits do not depend on the cases stacked beside it.  A
+TruncatedState is a stack of one: build_coherent, build_entangled,
+mean_energy and oracle_phases run that body on it.  verify stacks the cases
+of a chunk, at most verify._STACK_CELLS cells per stacked grid.
 """
 
 from __future__ import annotations
@@ -281,8 +285,10 @@ def fock_cutoff(rho: float, tail_bound: float) -> int:
     past FOCK_CAP, also where rho^2 overflows.  The first candidate n is
     checked alone, against a bound on its tail from one log-space pmf term
     (_tail_bound), which passes for every desk-scale amplitude.  Where it
-    does not, one suffix sum gives the tail of every candidate from n to
-    FOCK_CAP (see poisson_tail).
+    does not, the first candidate whose bound passes (_bounded_candidate)
+    caps the answer, and one suffix sum gives the tail of every candidate
+    below it (see poisson_tail); the first that passes is the answer, and
+    the bounded candidate where none does.
     """
     mean = rho * rho
     # a mean past the cap starts past it, so an infinite one never reaches ceil
@@ -292,10 +298,29 @@ def fock_cutoff(rho: float, tail_bound: float) -> int:
             return n
         # every tail of the vacuum is 0, so none passes a bound that the first missed
         if mean > 0.0:
-            passing = np.flatnonzero(~(_upper_tails(mean, n, FOCK_CAP) >= tail_bound))
+            bounded = _bounded_candidate(mean, n, tail_bound)
+            passing = np.flatnonzero(~(_upper_tails(mean, n, bounded - 1) >= tail_bound))
             if passing.size:
                 return n + int(passing[0])
+            if bounded <= FOCK_CAP:
+                return bounded
     raise CapacityError(f"amplitude rho={rho} needs a Fock cutoff above the cap {FOCK_CAP}")
+
+
+def _bounded_candidate(mean: float, failing: int, tail_bound: float) -> int:
+    """First candidate above failing, up to FOCK_CAP, whose _tail_bound passes; FOCK_CAP + 1 if none does.
+
+    failing's bound must fail.  Past the mean the bound falls with the
+    candidate, so a bisection finds the first that passes in a dozen steps.
+    """
+    passing = FOCK_CAP + 1
+    while passing - failing > 1:
+        middle = (failing + passing) // 2
+        if _tail_bound(mean, middle) >= tail_bound:
+            failing = middle
+        else:
+            passing = middle
+    return passing
 
 
 def _resolve_cutoff(rhos: Sequence[float], config: OracleConfig) -> int:
@@ -327,13 +352,18 @@ def _amplitude_stack(labels: Sequence[CoherentParam], n_max: int) -> np.ndarray:
 
     rho^2 and log rho come from Python per label (float.__pow__ and
     math.log), whose last bits numpy's square and log do not always match.
+    Each amplitude is one complex exponential of its log-magnitude plus
+    i phi n.
     """
     n = np.arange(n_max + 1)
     # columns -rho^2 / 2, log rho (0 for the vacuum, whose row is set below) and phi
     head, slope, phi = np.array(
         [(-0.5 * label.rho**2, math.log(label.rho) if label.rho else 0.0, label.phi) for label in labels]
     ).T[:, :, None]
-    amps = np.exp(head + n * slope - 0.5 * _log_factorials(0, n_max + 1)) * np.exp(1j * phi * n)
+    amps = np.empty((len(labels), n_max + 1), dtype=complex)
+    amps.real = head + n * slope - 0.5 * _log_factorials(0, n_max + 1)
+    amps.imag = phi * n
+    np.exp(amps, out=amps)
     vacuum = [k for k, label in enumerate(labels) if label.rho == 0.0]
     amps[vacuum] = 0.0
     amps[vacuum, 0] = 1.0
@@ -430,29 +460,21 @@ def _state_frequencies(state: TruncatedState, omegas: OmegaLike) -> np.ndarray:
     return np.array([_mode_frequencies(omegas, state.modes)])
 
 
-def _evolved(coeffs: np.ndarray, omegas: np.ndarray, times: Sequence[float]) -> np.ndarray:
-    """A stack advanced case by case: case k picks up e^{-i omega_k (n + 1/2) t_k} per mode.
-
-    The Hamiltonian is separable, so each grid's phase factor is the product
-    of one phase vector per mode; they multiply into one new stack.
-    """
+def _phase_vectors(sizes: Sequence[int], omegas: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
+    """Each mode's phase vector e^{-i omega (n + 1/2) t}, one row per case: case k at omegas[k] for times[k]."""
     t = np.array(times).reshape(-1, 1)
-    first, *rest = [np.exp(-1j * t * mode) for mode in _mode_levels(coeffs.shape[1:], omegas)]
-    out = coeffs * first.reshape(first.shape + (1,) * len(rest))
-    for phases in rest:
-        out *= phases[:, None, :]
-    return out
+    return [np.exp(-1j * t * mode) for mode in _mode_levels(sizes, omegas)]
 
 
-def _overlaps(first: np.ndarray, second: np.ndarray) -> list[complex]:
-    """<first_k|second_k> of two stacks, one vdot per case."""
-    return [complex(np.vdot(a, b)) for a, b in zip(first, second)]
-
-
-def _marginals(coeffs: np.ndarray) -> list[np.ndarray]:
-    """Each mode's marginal of |c|^2, one row per case; evolve leaves them unchanged."""
+def _probabilities(coeffs: np.ndarray) -> np.ndarray:
+    """The number distribution |c|^2 of each case of a stack, as one real stack."""
     probs = np.abs(coeffs)
     probs *= probs
+    return probs
+
+
+def _marginals(probs: np.ndarray) -> list[np.ndarray]:
+    """Each mode's marginal of a stack of number distributions, one row per case."""
     return [probs.sum(axis=2), probs.sum(axis=1)] if probs.ndim == 3 else [probs]
 
 
@@ -467,18 +489,45 @@ def _energies(marginals: list[np.ndarray], omegas: np.ndarray) -> list[float]:
     return sum(per_mode).tolist()
 
 
+def _endpoint_overlaps(probs: np.ndarray, omegas: np.ndarray, times: Sequence[float]) -> list[complex]:
+    """<psi_k| e^{-i H t_k} |psi_k> of each case, read off its number distribution P_k = |c_k|^2.
+
+    H is diagonal, so the overlap is sum_n P_k(n) e^{-i E_n t_k}: u1^T P_k u2
+    for two modes, with u_m mode m's phase vector, and P_k . u for one.  The
+    last mode is summed by one real matmul of P_k against the (re, im)
+    columns of its phase vector, viewed as floats; the first, by one complex
+    dot.  Each case's products have the same shapes and the same column
+    layout whatever the stack holds, so its bits do not depend on the cases
+    stacked beside it.
+    """
+    *first, last = _phase_vectors(probs.shape[1:], omegas, times)
+    rows = probs.reshape(len(probs), -1, probs.shape[-1])  # a one-mode distribution is one row
+    summed = np.matmul(rows, last.view(float).reshape(*last.shape, 2)).view(complex)[..., 0]
+    if first:
+        summed = np.matmul(first[0][:, None, :], summed[:, :, None])[:, 0]
+    return summed[:, 0].tolist()
+
+
 def evolve(state: TruncatedState, omegas: OmegaLike, t: float) -> TruncatedState:
-    """Advance the state by time t: each amplitude picks up e^{-i omega (n + 1/2) t} per mode."""
+    """Advance the state by time t: each amplitude picks up e^{-i omega (n + 1/2) t} per mode.
+
+    The Hamiltonian is separable, so the grid's phase factor is the product
+    of one phase vector per mode; they multiply into one new grid.
+    """
     t = _checked_finite("t", t)
-    evolved = _evolved(state.coeffs[None], _state_frequencies(state, omegas), [t])
-    return TruncatedState._adopt(evolved[0], state.n_max)
+    vectors = _phase_vectors(state.coeffs.shape, _state_frequencies(state, omegas), [t])
+    first, *rest = (phases[0] for phases in vectors)
+    out = state.coeffs * first.reshape(first.shape + (1,) * len(rest))
+    for phases in rest:
+        out *= phases
+    return TruncatedState._adopt(out, state.n_max)
 
 
 def state_overlap(first: TruncatedState, second: TruncatedState) -> complex:
     """Inner product <first|second> over a shared truncated basis."""
     if first.n_max != second.n_max:
         raise ValueError(f"basis mismatch: {first.n_max} vs {second.n_max}")
-    return _overlaps(first.coeffs[None], second.coeffs[None])[0]
+    return complex(np.vdot(first.coeffs, second.coeffs))
 
 
 def mean_energy(state: TruncatedState, omegas: OmegaLike) -> float:
@@ -487,7 +536,8 @@ def mean_energy(state: TruncatedState, omegas: OmegaLike) -> float:
     <H> = sum_k sum_n omega_k (n + 1/2) P_k(n), where P_k is mode k's marginal
     of the number distribution |c|^2.
     """
-    return _energies(_marginals(state.coeffs[None]), _state_frequencies(state, omegas))[0]
+    marginals = _marginals(_probabilities(state.coeffs[None]))
+    return _energies(marginals, _state_frequencies(state, omegas))[0]
 
 
 def _stack_phases(
@@ -496,17 +546,20 @@ def _stack_phases(
     """Per run (omegas, taus), (total, dynamical, geometric) of oracle_phases for each case of a stack.
 
     In a run, case k evolves at the checked frequencies omegas[k] for the
-    checked time taus[k].  The marginals serve every run's energies and are
-    dropped before any stack is evolved, so one evolved stack at a time is
-    live beside coeffs.  The first case whose endpoint overlap vanishes raises.
+    checked time taus[k].  Every run reads its endpoint overlaps and its
+    energies off one real stack, the number distributions |c|^2, and its
+    marginals; no evolved stack is formed, so the distributions, half a
+    stack, are all that is live beside coeffs.  Each run is its own pass with
+    its own products, so its bits do not depend on the runs beside it.  The
+    first case whose endpoint overlap vanishes raises.
     """
-    marginals = _marginals(coeffs)
-    energies = [_energies(marginals, omegas) for omegas, _ in runs]
-    del marginals
+    probs = _probabilities(coeffs)
+    marginals = _marginals(probs)
     phases = []
-    for (omegas, taus), run_energies in zip(runs, energies):
+    for omegas, taus in runs:
         run_phases = []
-        for overlap, energy, tau in zip(_overlaps(coeffs, _evolved(coeffs, omegas, taus)), run_energies, taus):
+        overlaps = _endpoint_overlaps(probs, omegas, taus)
+        for overlap, energy, tau in zip(overlaps, _energies(marginals, omegas), taus):
             total = _defined_phase(overlap)
             dynamical = -energy * tau
             run_phases.append((total, dynamical, total - dynamical))

@@ -232,8 +232,9 @@ def _oracle_values(chunk: list[tuple[_Case, tuple]]) -> dict[str, list[float]]:
     """Each family's oracle phase for each case of a chunk, in case order.
 
     Per oracle state of a case (_Case.subjects), the chunk's cases are
-    stacked by cutoff (_stacks); each stack and its marginals are built once,
-    and each of the state's runs is one pass of the oracle's stacked body.
+    stacked by cutoff (_stacks); each stack and its number distributions
+    are built once, and each of the state's runs is one pass of the
+    oracle's stacked body.
     """
     values = {name: [math.nan] * len(chunk) for name in FAMILY_NAMES}
     subjects = [case.subjects() for case, _ in chunk]

@@ -98,6 +98,17 @@ def dense_energies(state, omegas):
     return sum(w * g for w, g in zip(omegas, grids))
 
 
+#: Bound on |overlap| between the endpoint overlap read off the number distribution and the
+#: dense <psi|evolve(psi)>: the worst seen was 4e-16, over seeded states with rho up to 24.
+OVERLAP_AGREEMENT = 1e-15
+
+
+def distribution_overlap(state, omegas, tau):
+    """The endpoint overlap oracle_phases reads off the state's number distribution."""
+    probs = oracle._probabilities(state.coeffs[None])
+    return oracle._endpoint_overlaps(probs, oracle._state_frequencies(state, omegas), [tau])[0]
+
+
 def reference_states():
     """One mode, a two-branch grid, and that grid with every row given its own phase."""
     rng = np.random.default_rng(8)
@@ -172,7 +183,9 @@ class TestCutoff:
 
     def test_desk_cutoff_is_one_tail(self, monkeypatch):
         # the desk candidate is settled by one pmf term's bound on its tail, with no
-        # poisson_tail and no suffix sum; past it one suffix sum covers the candidates up to the cap
+        # poisson_tail and no suffix sum; past it one suffix sum covers the candidates below the
+        # first whose bound passes, which is found by bisection
+        bounded = next(n for n in range(FOCK_FLOOR, FOCK_CAP + 1) if oracle._tail_bound(9.0, n) < 1e-12)
         pmfs, suffix_sums, tails = [], [], []
         pmf, upper_tails = oracle._pmf, oracle._upper_tails
         monkeypatch.setattr(oracle, "_pmf", lambda *args: pmfs.append(args) or pmf(*args))
@@ -182,7 +195,8 @@ class TestCutoff:
         assert pmfs == [(2.25, FOCK_FLOOR + 1)]
         assert suffix_sums == tails == []
         assert fock_cutoff(3.0, 1e-12) == sequential_cutoff(3.0, 1e-12)
-        assert suffix_sums == [(9.0, FOCK_FLOOR, FOCK_CAP)]
+        assert suffix_sums == [(9.0, FOCK_FLOOR, bounded - 1)]
+        assert bounded < 2 * FOCK_FLOOR
         assert tails == []
 
     def test_poisson_tail_monotone(self):
@@ -454,8 +468,9 @@ class TestMemory:
         state = build_entangled(self.spec)
         assert state.n_max == (753, 753)
         grid_bytes = state.coeffs.nbytes
-        assert self.peak_grids(state, grid_bytes) <= 1.5
-        assert self.peak_grids(self.spec, grid_bytes) <= 2.5
+        # the number distribution |c|^2 is half a grid, and no evolved grid is formed
+        assert self.peak_grids(state, grid_bytes) <= 0.6
+        assert self.peak_grids(self.spec, grid_bytes) <= 1.6
 
 
 class TestOracleTotalPhase:
@@ -593,7 +608,12 @@ class TestOraclePhases:
             state = build_coherent(subject)
         triple = oracle_phases(state, omegas, tau)
         assert triple.geometric == oracle_geometric_phase(state, omegas, tau)
-        assert triple.total == oracle_total_phase(state, evolve(state, omegas, tau))
+        # the triple reads its overlap off the number distribution, oracle_total_phase off the
+        # evolved state: two sums of one overlap, which agree to rounding
+        final = evolve(state, omegas, tau)
+        dense = state_overlap(state, final)
+        assert abs(distribution_overlap(state, omegas, tau) - dense) <= OVERLAP_AGREEMENT
+        assert circle_distance(triple.total, oracle_total_phase(state, final)) <= OVERLAP_AGREEMENT / abs(dense)
         assert triple.dynamical == oracle_dynamical_phase(state, omegas, tau)
         assert triple.geometric == triple.total - triple.dynamical
         assert oracle_phases(subject, omegas, tau) == triple
@@ -604,6 +624,52 @@ class TestOraclePhases:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             oracle_phases(CoherentParam(1.0), 1.0, -1.0)
+
+    @pytest.mark.parametrize("kind", ["one-mode", "antipodal", "general"])
+    @pytest.mark.parametrize("rho", [0.4, 1.5, 6.0, 24.0])
+    def test_distribution_overlap_matches_the_dense_route(self, kind, rho):
+        # <psi|evolve(psi)> summed over the evolved grid and sum_n |c_n|^2 e^{-i E_n tau} read off
+        # the number distribution are one overlap, so they agree to rounding
+        rng = np.random.default_rng([int(10 * rho), len(kind)])
+        labels = [
+            CoherentParam(rho * float(rng.uniform(0.7, 1.0)), float(rng.uniform(0.0, 2.0 * PI))) for _ in range(4)
+        ]
+        angles = [float(rng.uniform(0.0, PI)), float(rng.uniform(0.0, 2.0 * PI))]
+        omegas = tuple(float(w) for w in rng.uniform(0.5, 2.0, 2))
+        if kind == "one-mode":
+            state, omegas = build_coherent(labels[0]), omegas[0]
+        elif kind == "antipodal":
+            state = build_entangled(EntangledSpec.antipodal(labels[0], labels[1], *angles))
+        else:
+            state = build_entangled(EntangledSpec(*labels, *angles))
+        for tau in rng.uniform(0.0, 4.0 * PI, 3):
+            dense = state_overlap(state, evolve(state, omegas, float(tau)))
+            assert abs(distribution_overlap(state, omegas, float(tau)) - dense) <= OVERLAP_AGREEMENT
+
+    @pytest.mark.parametrize("n_max", [(37,), (33, 33), (40, 57)])
+    def test_stack_phases_are_each_case_and_run_alone(self, n_max):
+        rng = np.random.default_rng(len(n_max) + sum(n_max))
+
+        def label():
+            return CoherentParam(float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.0, 2.0 * PI)))
+
+        if len(n_max) == 1:
+            subjects = [label() for _ in range(5)]
+        else:
+            angles = rng.uniform(0.0, PI, (5, 2)) * [1.0, 2.0]
+            subjects = [EntangledSpec(label(), label(), label(), label(), *map(float, row)) for row in angles]
+        stack = oracle._stack(subjects, n_max)
+        runs = [(rng.uniform(0.0, 2.0, (5, len(n_max))), rng.uniform(0.0, 4.0 * PI, 5).tolist()) for _ in range(3)]
+        phases = oracle._stack_phases(stack, runs)
+        assert [len(run_phases) for run_phases in phases] == [5, 5, 5]
+        for run, (omegas, taus) in enumerate(runs):
+            # repr compares the bits, -0.0 and 0.0 included
+            assert repr(oracle._stack_phases(stack, [(omegas, taus)])[0]) == repr(phases[run])
+            for k in range(5):
+                alone = oracle._stack_phases(stack[k:k + 1], [(omegas[k:k + 1], taus[k:k + 1])])[0][0]
+                assert repr(alone) == repr(phases[run][k])
+                triple = oracle_phases(TruncatedState(stack[k], n_max), tuple(omegas[k]), taus[k])
+                assert repr((triple.total, triple.dynamical, triple.geometric)) == repr(phases[run][k])
 
 
 class TestQuadrature:

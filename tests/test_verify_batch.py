@@ -27,10 +27,9 @@ SAMPLES = 200
 DESK_CELLS = 33 * 33
 
 #: Bound on the peak of run_verification(samples=4, seed=1, n_max_override=400), in 401 x 401
-#: grids: the peak of the per-case loop this harness replaced, 2.058 to 2.063 by the
-#: interpreter's state, rounded up.  It is the state, its evolved copy, and the buffer numpy's
-#: iterator allocates for a broadcast multiply.
-PEAK_GRIDS_AT_OVERRIDE_400 = 2.07
+#: grids: 1.520 to 1.529 by the interpreter's state, rounded up.  It is the state and its number
+#: distribution |c|^2, half a grid; no evolved copy is formed.
+PEAK_GRIDS_AT_OVERRIDE_400 = 1.55
 
 
 def reference_case(case: verify._Case) -> dict[str, tuple[float, float]]:
