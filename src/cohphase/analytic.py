@@ -332,13 +332,18 @@ def _spec_rows(bind: dict, rows: _Rows, antipodal: bool = False) -> _SpecRows:
     bind maps rho_k and phi_k (k = alpha, beta, mu, nu), theta and varphi to
     values.  An antipodal spec reads only alpha and mu: as in
     EntangledSpec.antipodal, beta and nu are alpha and mu negated, their
-    phase advanced by pi.
+    phase advanced by pi (_antipodal_binding).
     """
     if antipodal:
-        bind = {**bind, "rho_beta": bind["rho_alpha"], "phi_beta": bind["phi_alpha"] + math.pi,
-                "rho_nu": bind["rho_mu"], "phi_nu": bind["phi_mu"] + math.pi}
+        bind = _antipodal_binding(bind)
     params = (_param_rows(bind[f"rho_{k}"], bind[f"phi_{k}"], rows) for k in ("alpha", "beta", "mu", "nu"))
     return _SpecRows(*params, bind["theta"], bind["varphi"])
+
+
+def _antipodal_binding(bind: dict) -> dict:
+    """bind with beta and nu replaced by alpha and mu negated, as EntangledSpec.antipodal negates them."""
+    return {**bind, "rho_beta": bind["rho_alpha"], "phi_beta": bind["phi_alpha"] + math.pi,
+            "rho_nu": bind["rho_mu"], "phi_nu": bind["phi_mu"] + math.pi}
 
 
 def _abs2(label: complex) -> float:

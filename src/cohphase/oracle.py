@@ -26,15 +26,20 @@ formed in log space, smallest term first, or for a mean past about 1.1e5
 take Temme's uniform asymptotic expansion.  numpy is the only dependency.
 
 Each state step is written once, over a stack of cases that share their
-cutoffs (coefficient arrays along a first axis): _stack builds one,
-_probabilities forms its number distributions, and _stack_phases forms the
-three phases of every case for each of several runs of (frequencies, time),
-from the distributions and their marginals (_endpoint_overlaps, _energies).
-Every reduction runs per case (one matrix product or dot per case and
-mode), so a case's bits do not depend on the cases stacked beside it.  A
+cutoffs (coefficient arrays along a first axis): _stack builds one, from the
+rows of coherent amplitudes of its labels (_amplitude_stack, one row per
+label) and, for two modes, from those rows and each spec's angles
+(_entangled_stack); _probabilities forms its number distributions, and
+_stack_phases forms the three phases of every case for each of several runs
+of (frequencies, time), from the distributions and their marginals
+(_endpoint_overlaps, _energies).  Every reduction runs per case (one matrix
+product or dot per case and mode), and every amplitude row is elementwise,
+so a case's bits do not depend on the cases stacked beside it.  A
 TruncatedState is a stack of one: build_coherent, build_entangled,
 mean_energy and oracle_phases run that body on it.  verify stacks the cases
-of a chunk, at most verify._STACK_CELLS cells per stacked grid.
+of a chunk, at most verify._STACK_CELLS cells per stacked grid, and forms
+the label rows that its pair and twin stacks share with one _amplitude_stack
+call per cutoff; _resolve_cutoffs resolves each of a case's amplitudes once.
 """
 
 from __future__ import annotations
@@ -323,19 +328,35 @@ def _bounded_candidate(mean: float, failing: int, tail_bound: float) -> int:
     return passing
 
 
-def _resolve_cutoff(rhos: Sequence[float], config: OracleConfig) -> int:
-    rhos = dict.fromkeys(rhos)  # an antipodal mode's two labels share one amplitude
-    if config.n_max_override is not None:
-        n = config.n_max_override
-        if n > FOCK_CAP:
-            raise CapacityError(f"cutoff override {n} exceeds the cap {FOCK_CAP}")
-        worst = max(poisson_tail(r * r, n) for r in rhos)
-        if worst >= config.trunc_tol:
-            raise TruncationError(
-                f"cutoff override {n} leaves tail mass {worst:.3e} >= {config.trunc_tol:.1e}"
-            )
-        return n
-    return max(fock_cutoff(r, config.trunc_tol) for r in rhos)
+def _resolve_cutoffs(groups: Sequence[Sequence[float]], config: OracleConfig) -> list[int]:
+    """The cutoff of each group of amplitudes (the labels on one mode), in order.
+
+    Each distinct amplitude is resolved once, where it first appears: its
+    fock_cutoff, or under an override its tail at the override.  A group's
+    cutoff is the largest of its labels'; an override whose worst tail in a
+    group reaches trunc_tol raises for the first such group, with that worst
+    tail.
+    """
+    n = config.n_max_override
+    if n is not None and n > FOCK_CAP:
+        raise CapacityError(f"cutoff override {n} exceeds the cap {FOCK_CAP}")
+    resolved: dict[float, float] = {}
+
+    def resolve(rho: float) -> float:
+        if rho not in resolved:
+            resolved[rho] = fock_cutoff(rho, config.trunc_tol) if n is None else poisson_tail(rho * rho, n)
+        return resolved[rho]
+
+    cutoffs = []
+    for group in groups:
+        worst = max(map(resolve, group))
+        if n is None:
+            cutoffs.append(worst)
+        elif worst >= config.trunc_tol:
+            raise TruncationError(f"cutoff override {n} leaves tail mass {worst:.3e} >= {config.trunc_tol:.1e}")
+        else:
+            cutoffs.append(n)
+    return cutoffs
 
 
 def coherent_amplitudes(alpha: CoherentParam, n_max: int) -> np.ndarray:
@@ -344,27 +365,27 @@ def coherent_amplitudes(alpha: CoherentParam, n_max: int) -> np.ndarray:
     Magnitudes are formed in log space so large amplitudes neither overflow
     nor underflow before the tail.
     """
-    return _amplitude_stack([alpha], n_max)[0]
+    return _param_rows([alpha], n_max)[0]
 
 
-def _amplitude_stack(labels: Sequence[CoherentParam], n_max: int) -> np.ndarray:
-    """coherent_amplitudes of each label, one row per label: shape (len(labels), n_max + 1).
+def _amplitude_stack(rhos: Sequence[float], phis: Sequence[float], n_max: int) -> np.ndarray:
+    """coherent_amplitudes of each label (rho, phi), one row per label: shape (len(rhos), n_max + 1).
 
     rho^2 and log rho come from Python per label (float.__pow__ and
     math.log), whose last bits numpy's square and log do not always match.
     Each amplitude is one complex exponential of its log-magnitude plus
-    i phi n.
+    i phi n, so a row's bits do not depend on the rows beside it.
     """
     n = np.arange(n_max + 1)
-    # columns -rho^2 / 2, log rho (0 for the vacuum, whose row is set below) and phi
-    head, slope, phi = np.array(
-        [(-0.5 * label.rho**2, math.log(label.rho) if label.rho else 0.0, label.phi) for label in labels]
-    ).T[:, :, None]
-    amps = np.empty((len(labels), n_max + 1), dtype=complex)
+    rhos = np.asarray(rhos, dtype=float).tolist()
+    head = np.array([-0.5 * rho**2 for rho in rhos]).reshape(-1, 1)
+    # log rho is 0 for the vacuum, whose row is set below
+    slope = np.array([math.log(rho) if rho else 0.0 for rho in rhos]).reshape(-1, 1)
+    amps = np.empty((len(rhos), n_max + 1), dtype=complex)
     amps.real = head + n * slope - 0.5 * _log_factorials(0, n_max + 1)
-    amps.imag = phi * n
+    amps.imag = np.asarray(phis, dtype=float).reshape(-1, 1) * n
     np.exp(amps, out=amps)
-    vacuum = [k for k, label in enumerate(labels) if label.rho == 0.0]
+    vacuum = [k for k, rho in enumerate(rhos) if rho == 0.0]
     amps[vacuum] = 0.0
     amps[vacuum, 0] = 1.0
     return amps
@@ -397,42 +418,48 @@ def _built(subject: CoherentParam | EntangledSpec, config: OracleConfig | None) 
 def _cutoffs(subject: CoherentParam | EntangledSpec, config: OracleConfig) -> tuple[int, ...]:
     """Per-mode cutoffs of a subject's state, each covering the tails of the labels on its mode."""
     if isinstance(subject, CoherentParam):
-        return (_resolve_cutoff([subject.rho], config),)
-    return (
-        _resolve_cutoff([subject.alpha.rho, subject.beta.rho], config),
-        _resolve_cutoff([subject.mu.rho, subject.nu.rho], config),
-    )
+        return tuple(_resolve_cutoffs([[subject.rho]], config))
+    modes = [[subject.alpha.rho, subject.beta.rho], [subject.mu.rho, subject.nu.rho]]
+    return tuple(_resolve_cutoffs(modes, config))
 
 
 def _stack(subjects: Sequence[CoherentParam] | Sequence[EntangledSpec], n_max: tuple[int, ...]) -> np.ndarray:
     """The states of subjects of one kind at shared cutoffs n_max, stacked along a first axis."""
     if isinstance(subjects[0], CoherentParam):
-        return _amplitude_stack(subjects, *n_max)
-    return _entangled_stack(subjects, n_max)
-
-
-def _entangled_stack(specs: Sequence[EntangledSpec], n_max: tuple[int, int]) -> np.ndarray:
-    """build_entangled's grid of each spec at the shared cutoffs: shape (len(specs), n1 + 1, n2 + 1).
-
-    The matrix product runs once per grid, and each grid's squared norm is
-    its own vdot; the first spec whose grid cancels raises DegenerateStateError.
-    """
+        return _param_rows(subjects, *n_max)
     n1, n2 = n_max
-    varphi = np.array([[spec.varphi] for spec in specs])
-    halves = [0.5 * spec.theta for spec in specs]
+    k = len(subjects)
+    alpha, beta = _param_rows([s.alpha for s in subjects] + [s.beta for s in subjects], n1).reshape(2, k, n1 + 1)
+    mu, nu = _param_rows([s.mu for s in subjects] + [s.nu for s in subjects], n2).reshape(2, k, n2 + 1)
+    return _entangled_stack([s.theta for s in subjects], [s.varphi for s in subjects], alpha, beta, mu, nu)
+
+
+def _param_rows(labels: Sequence[CoherentParam], n_max: int) -> np.ndarray:
+    """_amplitude_stack of labels given as CoherentParams."""
+    return _amplitude_stack([label.rho for label in labels], [label.phi for label in labels], n_max)
+
+
+def _entangled_stack(
+    thetas: Sequence[float],
+    varphis: Sequence[float],
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    mu: np.ndarray,
+    nu: np.ndarray,
+) -> np.ndarray:
+    """build_entangled's grid of each spec, from its angles and its label rows: shape (k, n1 + 1, n2 + 1).
+
+    Row k of alpha and beta (shape (k, n1 + 1)) and of mu and nu (shape
+    (k, n2 + 1)) are the coherent amplitudes of spec k's labels.  The matrix
+    product runs once per grid, and each grid's squared norm is its own vdot;
+    the first spec whose grid cancels raises DegenerateStateError.
+    """
+    varphi = np.asarray(varphis, dtype=float).reshape(-1, 1)
+    halves = [0.5 * theta for theta in np.asarray(thetas, dtype=float).tolist()]
     first_weight = np.exp(-0.5j * varphi) * [[math.cos(half)] for half in halves]
     second_weight = np.exp(0.5j * varphi) * [[math.sin(half)] for half in halves]
-    first_mode = np.stack(
-        [
-            first_weight * _amplitude_stack([spec.alpha for spec in specs], n1),
-            second_weight * _amplitude_stack([spec.beta for spec in specs], n1),
-        ],
-        axis=2,
-    )
-    second_mode = np.stack(
-        [_amplitude_stack([spec.mu for spec in specs], n2), _amplitude_stack([spec.nu for spec in specs], n2)],
-        axis=1,
-    )
+    first_mode = np.stack([first_weight * alpha, second_weight * beta], axis=2)
+    second_mode = np.stack([mu, nu], axis=1)
     grids = first_mode @ second_mode
     scales = [1.0 / math.sqrt(_checked_norm_squared(float(np.vdot(grid, grid).real))) for grid in grids]
     # complex already, so that numpy multiplies in place without casting through a buffer
@@ -460,10 +487,13 @@ def _state_frequencies(state: TruncatedState, omegas: OmegaLike) -> np.ndarray:
     return np.array([_mode_frequencies(omegas, state.modes)])
 
 
-def _phase_vectors(sizes: Sequence[int], omegas: np.ndarray, times: Sequence[float]) -> list[np.ndarray]:
-    """Each mode's phase vector e^{-i omega (n + 1/2) t}, one row per case: case k at omegas[k] for times[k]."""
+def _phase_vectors(levels: list[np.ndarray], times: Sequence[float]) -> list[np.ndarray]:
+    """Each mode's phase vector e^{-i omega (n + 1/2) t}, one row per case: case k for times[k].
+
+    levels are the modes' energies omega (n + 1/2), as _mode_levels forms them.
+    """
     t = np.array(times).reshape(-1, 1)
-    return [np.exp(-1j * t * mode) for mode in _mode_levels(sizes, omegas)]
+    return [np.exp(-1j * t * mode) for mode in levels]
 
 
 def _probabilities(coeffs: np.ndarray) -> np.ndarray:
@@ -478,29 +508,29 @@ def _marginals(probs: np.ndarray) -> list[np.ndarray]:
     return [probs.sum(axis=2), probs.sum(axis=1)] if probs.ndim == 3 else [probs]
 
 
-def _energies(marginals: list[np.ndarray], omegas: np.ndarray) -> list[float]:
-    """<H> of each case: per mode, the dot of its energies with its marginal, summed over modes.
+def _energies(marginals: list[np.ndarray], levels: list[np.ndarray]) -> list[float]:
+    """<H> of each case: per mode, the dot of its energies (levels, of _mode_levels) with its marginal, summed.
 
     matmul of a stack of row vectors by a stack of column vectors runs one
     dot per case, so a case's energy does not depend on the cases beside it.
     """
-    levels = _mode_levels([p.shape[1] for p in marginals], omegas)
     per_mode = (np.matmul(e[:, None, :], p[:, :, None])[:, 0, 0] for e, p in zip(levels, marginals))
     return sum(per_mode).tolist()
 
 
-def _endpoint_overlaps(probs: np.ndarray, omegas: np.ndarray, times: Sequence[float]) -> list[complex]:
+def _endpoint_overlaps(probs: np.ndarray, levels: list[np.ndarray], times: Sequence[float]) -> list[complex]:
     """<psi_k| e^{-i H t_k} |psi_k> of each case, read off its number distribution P_k = |c_k|^2.
 
-    H is diagonal, so the overlap is sum_n P_k(n) e^{-i E_n t_k}: u1^T P_k u2
-    for two modes, with u_m mode m's phase vector, and P_k . u for one.  The
+    H is diagonal, so the overlap is sum_n P_k(n) e^{-i E_n t_k}, with E_n
+    read off levels, the stack's _mode_levels: u1^T P_k u2 for two modes,
+    with u_m mode m's phase vector, and P_k . u for one.  The
     last mode is summed by one real matmul of P_k against the (re, im)
     columns of its phase vector, viewed as floats; the first, by one complex
     dot.  Each case's products have the same shapes and the same column
     layout whatever the stack holds, so its bits do not depend on the cases
     stacked beside it.
     """
-    *first, last = _phase_vectors(probs.shape[1:], omegas, times)
+    *first, last = _phase_vectors(levels, times)
     rows = probs.reshape(len(probs), -1, probs.shape[-1])  # a one-mode distribution is one row
     summed = np.matmul(rows, last.view(float).reshape(*last.shape, 2)).view(complex)[..., 0]
     if first:
@@ -515,7 +545,7 @@ def evolve(state: TruncatedState, omegas: OmegaLike, t: float) -> TruncatedState
     of one phase vector per mode; they multiply into one new grid.
     """
     t = _checked_finite("t", t)
-    vectors = _phase_vectors(state.coeffs.shape, _state_frequencies(state, omegas), [t])
+    vectors = _phase_vectors(_mode_levels(state.coeffs.shape, _state_frequencies(state, omegas)), [t])
     first, *rest = (phases[0] for phases in vectors)
     out = state.coeffs * first.reshape(first.shape + (1,) * len(rest))
     for phases in rest:
@@ -537,7 +567,7 @@ def mean_energy(state: TruncatedState, omegas: OmegaLike) -> float:
     of the number distribution |c|^2.
     """
     marginals = _marginals(_probabilities(state.coeffs[None]))
-    return _energies(marginals, _state_frequencies(state, omegas))[0]
+    return _energies(marginals, _mode_levels(state.coeffs.shape, _state_frequencies(state, omegas)))[0]
 
 
 def _stack_phases(
@@ -549,17 +579,19 @@ def _stack_phases(
     checked time taus[k].  Every run reads its endpoint overlaps and its
     energies off one real stack, the number distributions |c|^2, and its
     marginals; no evolved stack is formed, so the distributions, half a
-    stack, are all that is live beside coeffs.  Each run is its own pass with
-    its own products, so its bits do not depend on the runs beside it.  The
-    first case whose endpoint overlap vanishes raises.
+    stack, are all that is live beside coeffs.  A run's mode energies
+    (_mode_levels) serve both its overlaps and its energies.  Each run is its
+    own pass with its own products, so its bits do not depend on the runs
+    beside it.  The first case whose endpoint overlap vanishes raises.
     """
     probs = _probabilities(coeffs)
     marginals = _marginals(probs)
     phases = []
     for omegas, taus in runs:
         run_phases = []
-        overlaps = _endpoint_overlaps(probs, omegas, taus)
-        for overlap, energy, tau in zip(overlaps, _energies(marginals, omegas), taus):
+        levels = _mode_levels(coeffs.shape[1:], omegas)
+        overlaps = _endpoint_overlaps(probs, levels, taus)
+        for overlap, energy, tau in zip(overlaps, _energies(marginals, levels), taus):
             total = _defined_phase(overlap)
             dynamical = -energy * tau
             run_phases.append((total, dynamical, total - dynamical))

@@ -13,15 +13,19 @@ squared norm falls below 1e-6 or an endpoint overlap magnitude falls below
 cyclic checks draw turn counts l1 in {1..4}, l2 in {0..4} and clamp the mode-1
 frequency to at least 0.25 so the cycle time stays numerically benign.
 
-Cases are drawn one at a time, as a case-by-case loop draws them, and
-evaluated in chunks of _CHUNK_CASES consecutive draws, so memory does not
-grow with the sample count.  In a chunk, each oracle state of the cases (the
-single mode, the pair and its antipodal twin) runs as stacks of cases with
-equal cutoffs, at most _STACK_CELLS cells each, and the eleven closed forms
-run as one pass of analytic's kernels over the chunk's rows.  Every value is
-bit for bit what the public function gives the case alone, and distances
-are recorded in draw order, so the report, worst cases included, is that of
-a case-by-case loop.
+Cases are drawn and evaluated in chunks of _CHUNK_CASES consecutive draws,
+so memory does not grow with the sample count.  A chunk draws its attempts
+from the generator in the order a case-by-case loop draws them, decides all
+of them in one array pass of analytic's kernels, and holds its accepted
+cases, in draw order, as one column per binding key; no spec object is
+built.  Each oracle state of the cases (the single mode, the pair and its
+antipodal twin) runs as stacks of cases with equal cutoffs, at most
+_STACK_CELLS cells each, and a stack of pairs and twins gathers both grids'
+label rows from one amplitude pass per cutoff.  The eleven closed forms run
+as one pass of analytic's kernels over the chunk's rows.  Every decision and
+value is bit for bit what the public functions give the case alone, and
+distances are recorded in draw order, so the report, worst cases included,
+is that of a case-by-case loop.
 """
 
 from __future__ import annotations
@@ -32,14 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, oracle
-from .core import (
-    TWO_PI,
-    CoherentParam,
-    DegenerateStateError,
-    EntangledSpec,
-    ModePair,
-    circle_distance,
-)
+from .core import TWO_PI, circle_distance
 
 __all__ = ["VerificationReport", "run_verification", "format_report"]
 
@@ -64,18 +61,49 @@ FAMILY_NAMES = (
     "cyclic_one_particle",
 )
 
+#: A case's binding keys, in the order a failing report prints them.
+BINDING_KEYS = (
+    "rho_alpha",
+    "phi_alpha",
+    "rho_beta",
+    "phi_beta",
+    "rho_mu",
+    "phi_mu",
+    "rho_nu",
+    "phi_nu",
+    "theta",
+    "varphi",
+    "omega1",
+    "omega2",
+    "tau",
+    "l1",
+    "l2",
+)
+
+#: The binding keys of a case's EntangledSpec.
+_SPEC_KEYS = BINDING_KEYS[:10]
+
+#: The twelve uniform values of a draw attempt, in the order it draws them, each with its upper bound.
+_UNIFORM = (
+    *(("rho_" + k, 1.5) for k in ("alpha", "beta", "mu", "nu")),
+    *(("phi_" + k, TWO_PI) for k in ("alpha", "beta", "mu", "nu")),
+    ("theta", math.pi),
+    ("varphi", TWO_PI),
+    ("omega1", 4.0 * math.pi),
+    ("omega2", 4.0 * math.pi),
+)
 
 #: Draws per chunk.  The closed forms of a chunk run as one pass of analytic's
 #: kernels over its cases, and that pass costs mostly per numpy call, so it is
 #: long; a chunk's cases and their rows take about 0.2 MB at this length.
 _CHUNK_CASES = 100
 
-#: Most cells in one stacked oracle grid: 30 desk-scale 33 x 33 grids, about
-#: 0.5 MB of amplitudes.  A grid larger than half of it (a cutoff override of
-#: 128 or more) is stacked alone.
-_STACK_CELLS = 1 << 15
+#: Most cells in one stacked oracle grid: a chunk of 100 desk-scale 33 x 33
+#: grids, 108 900 cells, with room to spare; about 2 MB of amplitudes.  A grid
+#: larger than half of it (a cutoff override of 256 or more) is stacked alone.
+_STACK_CELLS = 1 << 17
 
-#: Per oracle state of a case and per run of it (_Case.oracle_runs), the families
+#: Per oracle state of a case and per run of it (_oracle_runs), the families
 #: the run feeds and the phase each reads: 0 total, 1 dynamical, 2 geometric.
 _ORACLE_FIELDS = (
     ((("single_total", 0), ("single_dynamical", 1), ("single_geometric", 2)),),
@@ -119,152 +147,175 @@ class VerificationReport:
         return max(self.families, key=lambda f: f.max_distance)
 
 
-@dataclass(frozen=True)
-class _Case:
-    spec: EntangledSpec
-    anti: EntangledSpec
-    modes: ModePair
-    turns1: int
-    turns2: int
-    cyclic_omega1: float
+def _attempts(rng: np.random.Generator, count: int) -> dict[str, np.ndarray]:
+    """The binding columns of the generator's next `count` draw attempts.
 
-    def subjects(self) -> tuple[CoherentParam, EntangledSpec, EntangledSpec]:
-        """The oracle's states of the case: the single mode alpha, the pair and its antipodal twin."""
-        return self.spec.alpha, self.spec, self.anti
-
-    def oracle_runs(self) -> tuple[tuple[tuple[tuple[float, ...], float], ...], ...]:
-        """Per state of subjects(), the (omegas, tau) of each oracle run of it.
-
-        The antipodal state runs with both modes, with mode 1 alone, and the
-        same two over (l1, l2) cycles at the clamped mode-1 frequency.
-        """
-        modes = self.modes
-        w1 = self.cyclic_omega1
-        cycle_tau = TWO_PI * self.turns1 / w1
-        w2 = self.turns2 * w1 / self.turns1
-        return (
-            (((modes.omega1,), modes.tau),),
-            (((modes.omega1, modes.omega2), modes.tau),),
-            (
-                ((modes.omega1, modes.omega2), modes.tau),
-                ((modes.omega1, 0.0), modes.tau),
-                ((w1, w2), cycle_tau),
-                ((w1, 0.0), cycle_tau),
-            ),
-        )
-
-    def binding(self) -> dict[str, float]:
-        spec = self.spec
-        return {
-            "rho_alpha": spec.alpha.rho,
-            "phi_alpha": spec.alpha.phi,
-            "rho_beta": spec.beta.rho,
-            "phi_beta": spec.beta.phi,
-            "rho_mu": spec.mu.rho,
-            "phi_mu": spec.mu.phi,
-            "rho_nu": spec.nu.rho,
-            "phi_nu": spec.nu.phi,
-            "theta": spec.theta,
-            "varphi": spec.varphi,
-            "omega1": self.modes.omega1,
-            "omega2": self.modes.omega2,
-            "tau": self.modes.tau,
-            "l1": float(self.turns1),
-            "l2": float(self.turns2),
-        }
+    Each attempt takes its twelve uniform values (_UNIFORM) as one call's
+    doubles, then l1 and l2 as two integer calls.  uniform(0, high) is high
+    times the next double, so every column is bit for bit what one uniform
+    call per value gives, and the generator moves as those calls move it.
+    """
+    unit = np.empty((count, len(_UNIFORM)))
+    turns = np.empty((2, count))
+    for k in range(count):
+        rng.random(out=unit[k])
+        turns[0, k] = rng.integers(1, 5)
+        turns[1, k] = rng.integers(0, 5)
+    keys, highs = zip(*_UNIFORM)
+    columns = dict(zip(keys, unit.T * np.array(highs)[:, None]))
+    columns.update(tau=np.ones(count), l1=turns[0], l2=turns[1])
+    return columns
 
 
-def _conditioned(spec: EntangledSpec, modes: ModePair) -> bool:
-    """N^2 and the endpoint overlap magnitude, from one branch sum, are both clear of 0."""
-    nsq, overlap, _ = analytic._branch_sum(spec, modes.omega1 * modes.tau, modes.omega2 * modes.tau)
-    return nsq >= MIN_NORM_SQUARED and abs(overlap) >= MIN_OVERLAP
+def _accepted(attempts: dict[str, np.ndarray]) -> np.ndarray:
+    """Which of the attempts the draw keeps.
+
+    An attempt is kept when omega1 exceeds 1e-9 and three states clear the
+    rejection thresholds: the pair and its twin at (omega1, omega2), and the
+    twin at (omega1, 0), each at tau = 1.  For each, N^2 and the endpoint
+    overlap magnitude come from analytic's branch sum.  The three sums run
+    as one _Rows pass over three blocks of rows, and a row in its
+    `degenerate` mask, whose point sum raises DegenerateStateError, rejects
+    its attempt.
+    """
+    count = len(attempts["tau"])
+    twin = analytic._antipodal_binding(attempts)
+    bind = {key: np.concatenate([attempts[key], twin[key], twin[key]]) for key in _SPEC_KEYS}
+    omega1, omega2 = attempts["omega1"], attempts["omega2"]
+    rows = analytic._Rows(3 * count)
+    with np.errstate(all="ignore"):
+        spec = analytic._spec_rows(bind, rows)
+        w1t, w2t = np.tile(omega1, 3), np.concatenate([omega2, omega2, np.zeros(count)])
+        nsq, overlap, _ = analytic._branch_sum(spec, w1t, w2t, rows)
+        clear = ~rows.degenerate & (nsq >= MIN_NORM_SQUARED) & (abs(overlap) >= MIN_OVERLAP)
+    rows.raise_first()
+    return (omega1 > 1e-9) & clear.reshape(3, count).all(axis=0)
 
 
-def _draw_case(rng: np.random.Generator) -> _Case:
-    while True:
-        rhos = rng.uniform(0.0, 1.5, size=4)
-        phis = rng.uniform(0.0, TWO_PI, size=4)
-        theta = rng.uniform(0.0, math.pi)
-        varphi = rng.uniform(0.0, TWO_PI)
-        omega1 = rng.uniform(0.0, 4.0 * math.pi)
-        omega2 = rng.uniform(0.0, 4.0 * math.pi)
-        turns1 = int(rng.integers(1, 5))
-        turns2 = int(rng.integers(0, 5))
-        if omega1 <= 1e-9:
-            continue
-        alpha = CoherentParam(rhos[0], phis[0])
-        beta = CoherentParam(rhos[1], phis[1])
-        mu = CoherentParam(rhos[2], phis[2])
-        nu = CoherentParam(rhos[3], phis[3])
-        spec = EntangledSpec(alpha, beta, mu, nu, theta, varphi)
-        anti = EntangledSpec.antipodal(alpha, mu, theta, varphi)
-        modes = ModePair(omega1, omega2, 1.0)
-        single_modes = ModePair(omega1, 0.0, 1.0)
-        try:
-            if not all(_conditioned(*case) for case in ((spec, modes), (anti, modes), (anti, single_modes))):
-                continue
-        except DegenerateStateError:
-            continue
-        return _Case(
-            spec=spec,
-            anti=anti,
-            modes=modes,
-            turns1=turns1,
-            turns2=turns2,
-            cyclic_omega1=max(omega1, MIN_CYCLIC_OMEGA),
-        )
+def _draw(rng: np.random.Generator, count: int) -> dict[str, np.ndarray]:
+    """The binding columns of the next `count` cases, in draw order.
+
+    Each round draws as many attempts as cases are still missing, so no
+    attempt is drawn that a case-by-case loop would not draw.
+    """
+    kept = []
+    while count:
+        attempts = _attempts(rng, count)
+        accepted = _accepted(attempts)
+        kept.append({key: column[accepted] for key, column in attempts.items()})
+        count -= int(accepted.sum())
+    return {key: np.concatenate([part[key] for part in kept]) for key in BINDING_KEYS}
 
 
-def _stacks(cutoffs) -> list[tuple[tuple[int, ...], list[int]]]:
-    """(cutoffs, indices) of each stack of cases: cases with equal cutoffs, in draw order, in stacks
-    of at most _STACK_CELLS cells or of one case."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for index, n_max in enumerate(cutoffs):
-        groups.setdefault(n_max, []).append(index)
+def _cutoffs(columns: dict[str, np.ndarray], config: oracle.OracleConfig) -> list[tuple[tuple[int, ...], ...]]:
+    """Per case, in draw order, the cutoffs of its oracle states: the single mode, the pair and the twin.
+
+    A case resolves each of its amplitudes once (oracle._resolve_cutoffs),
+    its states' modes in the order the states run: alpha; alpha and beta,
+    mu and nu; alpha, mu (the twin's second label on a mode is the first
+    negated).  The first case that cannot meet its cutoffs raises.
+    """
+    cutoffs = []
+    amplitudes = zip(*(columns[key].tolist() for key in ("rho_alpha", "rho_beta", "rho_mu", "rho_nu")))
+    for alpha, beta, mu, nu in amplitudes:
+        modes = ((alpha,), (alpha, beta), (mu, nu), (alpha,), (mu,))
+        single, pair1, pair2, twin1, twin2 = oracle._resolve_cutoffs(modes, config)
+        cutoffs.append(((single,), (pair1, pair2), (twin1, twin2)))
+    return cutoffs
+
+
+def _oracle_runs(columns: dict[str, np.ndarray]) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+    """Per oracle state of a case (single mode, pair, twin), the (omegas, taus) of each run of it.
+
+    Row k of omegas holds case k's frequencies, one column per mode, and
+    taus[k] its time.  The twin runs with both modes, with mode 1 alone, and
+    the same two over (l1, l2) cycles at the clamped mode-1 frequency.
+    """
+    omega1, omega2, tau, l1, l2 = (columns[key] for key in ("omega1", "omega2", "tau", "l1", "l2"))
+    w1 = np.maximum(omega1, MIN_CYCLIC_OMEGA)
+    cycle_tau = TWO_PI * l1 / w1
+    w2 = l2 * w1 / l1
+    zero = np.zeros_like(omega1)
+    both = np.stack([omega1, omega2], axis=1)
+    return (
+        ((omega1[:, None], tau),),
+        ((both, tau),),
+        (
+            (both, tau),
+            (np.stack([omega1, zero], axis=1), tau),
+            (np.stack([w1, w2], axis=1), cycle_tau),
+            (np.stack([w1, zero], axis=1), cycle_tau),
+        ),
+    )
+
+
+def _stacks(keys) -> list[tuple[tuple[tuple[int, ...], ...], np.ndarray]]:
+    """(key, indices) of each stack of cases: cases with equal keys, in draw order, in stacks
+    of at most _STACK_CELLS cells or of one case.
+
+    A key holds the cutoffs of each state the stack builds, and a case's
+    cells are those of its largest grid.
+    """
+    groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for index, key in enumerate(keys):
+        groups.setdefault(key, []).append(index)
     stacks = []
-    for n_max, indices in groups.items():
-        size = max(1, _STACK_CELLS // math.prod(n + 1 for n in n_max))
-        stacks += [(n_max, indices[start:start + size]) for start in range(0, len(indices), size)]
+    for key, indices in groups.items():
+        size = max(1, _STACK_CELLS // max(math.prod(n + 1 for n in n_max) for n_max in key))
+        stacks += [(key, np.array(indices[start:start + size])) for start in range(0, len(indices), size)]
     return stacks
 
 
-def _oracle_values(chunk: list[tuple[_Case, tuple]]) -> dict[str, list[float]]:
+def _oracle_values(columns: dict[str, np.ndarray], cutoffs) -> dict[str, list[float]]:
     """Each family's oracle phase for each case of a chunk, in case order.
 
-    Per oracle state of a case (_Case.subjects), the chunk's cases are
-    stacked by cutoff (_stacks); each stack and its number distributions
-    are built once, and each of the state's runs is one pass of the
-    oracle's stacked body.
+    The single-mode states are stacked by cutoff.  The pairs and twins are
+    stacked by the cutoffs of both: per stack, one oracle._amplitude_stack
+    call per distinct cutoff forms the rows of the six labels alpha, beta,
+    -alpha, mu, nu and -mu, and both grids gather theirs from them.  Each
+    stack and its number distributions are built once, and each of the
+    state's runs is one pass of the oracle's stacked body.
     """
-    values = {name: [math.nan] * len(chunk) for name in FAMILY_NAMES}
-    subjects = [case.subjects() for case, _ in chunk]
-    runs = [case.oracle_runs() for case, _ in chunk]
-    for state, fields in enumerate(_ORACLE_FIELDS):
-        for n_max, group in _stacks(cutoffs[state] for _, cutoffs in chunk):
-            stack = oracle._stack([subjects[index][state] for index in group], n_max)
-            state_runs = []
-            for run in range(len(fields)):
-                omegas, taus = zip(*(runs[index][state][run] for index in group))
-                state_runs.append((np.array(omegas), taus))
-            phases = oracle._stack_phases(stack, state_runs)
-            del stack  # before the next stack is built
-            for run_phases, run_fields in zip(phases, fields):
-                for index, triple in zip(group, run_phases):
-                    for name, field in run_fields:
-                        values[name][index] = triple[field]
+    values = {name: [math.nan] * len(cutoffs) for name in FAMILY_NAMES}
+    runs = _oracle_runs(columns)
+
+    def record(state: int, group: np.ndarray, stack: np.ndarray) -> None:
+        state_runs = [(omegas[group], taus[group].tolist()) for omegas, taus in runs[state]]
+        phases = oracle._stack_phases(stack, state_runs)
+        for run_phases, run_fields in zip(phases, _ORACLE_FIELDS[state]):
+            for index, triple in zip(group.tolist(), run_phases):
+                for name, field in run_fields:
+                    values[name][index] = triple[field]
+
+    for ((n,),), group in _stacks(states[:1] for states in cutoffs):
+        record(0, group, oracle._amplitude_stack(columns["rho_alpha"][group], columns["phi_alpha"][group], n))
+    # the six labels alpha, beta, -alpha, mu, nu and -mu, as (binding, label) pairs
+    twin = analytic._antipodal_binding(columns)
+    labels = ((columns, "alpha"), (columns, "beta"), (twin, "beta"), (columns, "mu"), (columns, "nu"), (twin, "nu"))
+    rhos = np.stack([bind["rho_" + k] for bind, k in labels])
+    phis = np.stack([bind["phi_" + k] for bind, k in labels])
+    theta, varphi = columns["theta"], columns["varphi"]
+    for (pair_n, twin_n), group in _stacks(states[1:] for states in cutoffs):
+        rows = {}
+        for n in dict.fromkeys(pair_n + twin_n):
+            amps = oracle._amplitude_stack(rhos[:, group].ravel(), phis[:, group].ravel(), n)
+            rows[n] = amps.reshape(len(labels), len(group), n + 1)
+        # the pair's grid reads alpha, beta | mu, nu, and the twin's alpha, -alpha | mu, -mu
+        for state, (n1, n2), (beta, nu) in ((1, pair_n, (1, 4)), (2, twin_n, (2, 5))):
+            state_rows = rows[n1][0], rows[n1][beta], rows[n2][3], rows[n2][nu]
+            record(state, group, oracle._entangled_stack(theta[group], varphi[group], *state_rows))
     return values
 
 
-def _closed_form_values(bindings: list[dict[str, float]]) -> dict[str, np.ndarray]:
-    """Each family's closed form for each case of a chunk, from one pass of analytic's kernels over rows.
+def _closed_form_values(bind: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each family's closed form for each case of a chunk, from one pass of analytic's kernels over its columns.
 
     Row k is bit for bit the public closed form of case k, as a sweep row is.
     The draw keeps every case clear of degenerate states and vanishing
     overlaps, so no row ends there; a row that did would read NaN, which
     circle_distance rejects.
     """
-    bind = {key: np.array([binding[key] for binding in bindings]) for key in bindings[0]}
-    rows = analytic._Rows(len(bindings))
+    rows = analytic._Rows(len(bind["tau"]))
     with np.errstate(all="ignore"):
         spec = analytic._spec_rows(bind, rows)
         anti = analytic._spec_rows(bind, rows, antipodal=True)
@@ -284,11 +335,11 @@ def _closed_form_values(bindings: list[dict[str, float]]) -> dict[str, np.ndarra
     return dict(zip(FAMILY_NAMES, columns))
 
 
-def _evaluate_chunk(chunk: list[tuple[_Case, tuple]], results: dict[str, FamilyResult]) -> None:
+def _evaluate_chunk(columns: dict[str, np.ndarray], cutoffs, results: dict[str, FamilyResult]) -> None:
     """Record every family's distance for each case of the chunk, in case order."""
-    bindings = [case.binding() for case, _ in chunk]
-    simulated = _oracle_values(chunk)
-    closed = _closed_form_values(bindings)
+    simulated = _oracle_values(columns, cutoffs)
+    closed = _closed_form_values(columns)
+    bindings = [dict(zip(BINDING_KEYS, case)) for case in zip(*(columns[key].tolist() for key in BINDING_KEYS))]
     for name in FAMILY_NAMES:
         family = results[name]
         for closed_value, simulated_value, binding in zip(closed[name].tolist(), simulated[name], bindings):
@@ -303,8 +354,8 @@ def run_verification(
 ) -> VerificationReport:
     """Draw `samples` random cases and compare every family against the oracle.
 
-    Cases are drawn one at a time and evaluated in chunks of _CHUNK_CASES
-    draws.  A case's cutoffs are resolved as it is drawn, so the first case
+    Cases are drawn and evaluated in chunks of _CHUNK_CASES draws.  A chunk's
+    cutoffs are resolved in draw order once it is drawn, so the first case
     that cannot meet its cutoff raises.
     """
     if samples < 1:
@@ -314,13 +365,9 @@ def run_verification(
     config = config or oracle.OracleConfig()
     rng = np.random.default_rng(seed)
     results = {name: FamilyResult(name) for name in FAMILY_NAMES}
-    chunk: list[tuple[_Case, tuple]] = []
-    for drawn in range(1, samples + 1):
-        case = _draw_case(rng)
-        chunk.append((case, tuple(oracle._cutoffs(subject, config) for subject in case.subjects())))
-        if len(chunk) == _CHUNK_CASES or drawn == samples:
-            _evaluate_chunk(chunk, results)
-            chunk = []
+    for start in range(0, samples, _CHUNK_CASES):
+        columns = _draw(rng, min(_CHUNK_CASES, samples - start))
+        _evaluate_chunk(columns, _cutoffs(columns, config), results)
     return VerificationReport(
         seed=seed,
         samples=samples,

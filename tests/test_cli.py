@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cohphase import CapacityError, CoherentParam, EntangledSpec, analytic, cli, oracle_geometric_phase, verify
+from cohphase import CapacityError, CoherentParam, EntangledSpec, analytic, cli, oracle_geometric_phase
 from cohphase.cli import main
 from cohphase.oracle import poisson_tail
+from reference_draw import draw_case
 
 PI = math.pi
 
@@ -588,7 +589,7 @@ class TestVerifyCommand:
 
     def test_first_drawn_case_raises(self):
         # the tail mass printed above is that of the first draw's alpha, the first label the oracle meets
-        alpha = verify._draw_case(np.random.default_rng(1)).spec.alpha
+        alpha = draw_case(np.random.default_rng(1)).spec.alpha
         assert f"{poisson_tail(alpha.rho**2, 5):.3e}" == "3.523e-05"
 
     def test_capacity_error_exit_code(self, capsys, monkeypatch):

@@ -106,7 +106,8 @@ OVERLAP_AGREEMENT = 1e-15
 def distribution_overlap(state, omegas, tau):
     """The endpoint overlap oracle_phases reads off the state's number distribution."""
     probs = oracle._probabilities(state.coeffs[None])
-    return oracle._endpoint_overlaps(probs, oracle._state_frequencies(state, omegas), [tau])[0]
+    levels = oracle._mode_levels(state.coeffs.shape, oracle._state_frequencies(state, omegas))
+    return oracle._endpoint_overlaps(probs, levels, [tau])[0]
 
 
 def reference_states():

@@ -1,13 +1,14 @@
 """verify's chunked passes give each case what the public functions give it alone.
 
-run_verification draws its cases one at a time and evaluates them in chunks:
-the oracle runs each state of a chunk's cases as one stack, and the closed
-forms run over the chunk's cases as the rows of one pass of analytic's
-kernels.  The tests here compare every chunk value, bit for bit, with the
-public function evaluated on that case alone, and the whole report with a
-per-case reference loop built from the public functions only.  Chunks are
-checked at their default size and with the chunk constant set to one and to
-seven desk-scale cases.
+run_verification draws and evaluates its cases in chunks: the oracle runs
+each state of a chunk's cases as stacks, and the closed forms run over the
+chunk's cases as the rows of one pass of analytic's kernels.  The tests here
+compare every chunk's cases with the per-attempt reference draw
+(reference_draw), every chunk value, bit for bit, with the public function
+evaluated on that case alone, and the whole report with a per-case reference
+loop built from the public functions only.  Chunks are checked at their
+default size and with the chunk constant set to one and to seven desk-scale
+cases.
 """
 
 import functools
@@ -19,6 +20,7 @@ import pytest
 from cohphase import analytic, oracle, verify
 from cohphase.core import TWO_PI, circle_distance
 from cohphase.oracle import OracleConfig
+from reference_draw import Case, binding_row, case_rows, draw_case
 
 SEEDS = (1, 2, 3, 7)
 SAMPLES = 200
@@ -31,8 +33,13 @@ DESK_CELLS = 33 * 33
 #: distribution |c|^2, half a grid; no evolved copy is formed.
 PEAK_GRIDS_AT_OVERRIDE_400 = 1.55
 
+#: Bound on the peak of run_verification(samples=SAMPLES, seed=1), in bytes: 3.370 to 3.379 MB on
+#: CPython 3.11, rounded up.  Most of it is a chunk's stack of 100 desk grids (1.74 MB) and its
+#: number distributions (0.87 MB).
+PEAK_AT_SAMPLES = 3_500_000
 
-def reference_case(case: verify._Case) -> dict[str, tuple[float, float]]:
+
+def reference_case(case: Case) -> dict[str, tuple[float, float]]:
     """Each family's (closed form, oracle) for one case, from the public functions alone."""
     spec, anti, modes = case.spec, case.anti, case.modes
     omegas, tau = (modes.omega1, modes.omega2), modes.tau
@@ -69,11 +76,23 @@ def reference_case(case: verify._Case) -> dict[str, tuple[float, float]]:
 
 
 @functools.lru_cache(maxsize=None)
-def reference_run(seed: int) -> tuple[list[verify._Case], list[dict[str, tuple[float, float]]]]:
+def reference_run(seed: int) -> tuple[list[Case], list[dict[str, tuple[float, float]]]]:
     """The draws of run_verification(SAMPLES, seed) and each one's reference values."""
     rng = np.random.default_rng(seed)
-    cases = [verify._draw_case(rng) for _ in range(SAMPLES)]
+    cases = [draw_case(rng) for _ in range(SAMPLES)]
     return cases, [reference_case(case) for case in cases]
+
+
+def record_stack_sizes(monkeypatch, stack_sizes: list[int], modes: int | None = None) -> None:
+    """Append the size of each stack the oracle runs (of modes modes; None: all) to stack_sizes."""
+    stack_phases = oracle._stack_phases
+
+    def counting(coeffs, runs):
+        if modes is None or coeffs.ndim == modes + 1:
+            stack_sizes.append(len(coeffs))
+        return stack_phases(coeffs, runs)
+
+    monkeypatch.setattr(oracle, "_stack_phases", counting)
 
 
 def reference_report(seed: int) -> list[verify.FamilyResult]:
@@ -87,28 +106,23 @@ def reference_report(seed: int) -> list[verify.FamilyResult]:
 
 
 def evaluated_chunks(monkeypatch, seed: int, chunk_cases: int | None, stack_cases: int | None):
-    """Each chunk run_verification(SAMPLES, seed) evaluates, as (cases, oracle values, closed-form
-    values), and the size of each two-mode stack, with chunks of chunk_cases draws and stacks of at
-    most stack_cases desk grids (None: the default sizes)."""
+    """Each chunk run_verification(SAMPLES, seed) evaluates, as (case bindings, oracle values,
+    closed-form values), and the size of each two-mode stack, with chunks of chunk_cases draws and
+    stacks of at most stack_cases desk grids (None: the default sizes)."""
     if chunk_cases is not None:
         monkeypatch.setattr(verify, "_CHUNK_CASES", chunk_cases)
     if stack_cases is not None:
         monkeypatch.setattr(verify, "_STACK_CELLS", stack_cases * DESK_CELLS)
     chunks, stack_sizes = [], []
-    evaluate, stack = verify._evaluate_chunk, oracle._stack
+    evaluate = verify._evaluate_chunk
 
-    def recording(chunk, results):
-        cases = [case for case, _ in chunk]
-        chunks.append((cases, verify._oracle_values(chunk), verify._closed_form_values([c.binding() for c in cases])))
-        evaluate(chunk, results)
-
-    def counting(subjects, n_max):
-        if len(n_max) == 2:
-            stack_sizes.append(len(subjects))
-        return stack(subjects, n_max)
+    def recording(columns, cutoffs, results):
+        simulated, closed = verify._oracle_values(columns, cutoffs), verify._closed_form_values(columns)
+        chunks.append((case_rows(columns), simulated, closed))
+        evaluate(columns, cutoffs, results)
 
     monkeypatch.setattr(verify, "_evaluate_chunk", recording)
-    monkeypatch.setattr(oracle, "_stack", counting)
+    record_stack_sizes(monkeypatch, stack_sizes, modes=2)
     verify.run_verification(SAMPLES, seed=seed)
     return chunks, stack_sizes
 
@@ -120,7 +134,8 @@ def test_chunk_values_are_each_case_alone(monkeypatch, seed, chunk_cases, stack_
     cases, references = reference_run(seed)
     assert [len(members) for members, _, _ in chunks[:-1]] == [verify._CHUNK_CASES] * (len(chunks) - 1)
     assert max(stack_sizes) == min(verify._CHUNK_CASES, verify._STACK_CELLS // DESK_CELLS)
-    assert [case for members, _, _ in chunks for case in members] == cases
+    # repr compares the bits
+    assert repr([case for members, _, _ in chunks for case in members]) == repr([binding_row(c) for c in cases])
     index = 0
     for members, simulated, closed in chunks:
         for k in range(len(members)):
@@ -143,10 +158,9 @@ def test_report_matches_the_per_case_loop(seed):
 
 def test_a_grid_past_half_the_stack_cap_is_stacked_alone(monkeypatch):
     stack_sizes = []
-    stack = oracle._stack
-    monkeypatch.setattr(oracle, "_stack", lambda subjects, n_max: stack_sizes.append(len(subjects)) or stack(subjects, n_max))
-    verify.run_verification(samples=3, seed=1, config=OracleConfig(n_max_override=128))
-    assert 2 * 129 * 129 > verify._STACK_CELLS
+    record_stack_sizes(monkeypatch, stack_sizes)
+    verify.run_verification(samples=3, seed=1, config=OracleConfig(n_max_override=256))
+    assert 2 * 257 * 257 > verify._STACK_CELLS
     assert stack_sizes == [3, 1, 1, 1, 1, 1, 1]
 
 
@@ -177,4 +191,4 @@ def test_peak_does_not_grow_with_samples():
     small_peak, small_kept = traced_peak(SAMPLES)
     large_peak, large_kept = traced_peak(10 * SAMPLES)
     assert large_peak - large_kept <= small_peak - small_kept + 64 * 1024
-    assert small_peak <= 4 * verify._STACK_CELLS * np.dtype(complex).itemsize
+    assert small_peak <= PEAK_AT_SAMPLES
