@@ -1,7 +1,8 @@
 """Brute-force truncated Fock-space verifier for the closed-form phases.
 
-States are dense complex coefficient vectors over number states |n> (one
-mode) or a rectangular grid |n1, n2> (two modes).  The Hamiltonian
+States are dense complex coefficient vectors over a window of number states
+|n>, n_min <= n <= n_max (one mode), or a rectangular grid |n1, n2> over one
+window per mode (two modes).  The Hamiltonian
 sum_k omega_k (n_k + 1/2) is diagonal and separable, so evolve multiplies
 the coefficients by one phase vector e^{-i omega_k (n + 1/2) t} per mode,
 and no grid of energies is formed.  The total,
@@ -19,14 +20,22 @@ arg <psi_k|psi_{k+1}>.  Nothing here uses any closed-form expression from
 the analytic module, and no step after a build uses the two-branch
 structure of the state it built.
 
-Each mode's cutoff bounds the Poisson(rho^2) mass of its number
-distribution above it (fock_cutoff, poisson_tail).  Amplitudes and tails
-read log n! from one math.lgamma table built at import; tails sum the pmf,
-formed in log space, smallest term first, or for a mean past about 1.1e5
-take Temme's uniform asymptotic expansion.  numpy is the only dependency.
+A coherent label's number distribution is Poisson(rho^2), a band of width
+about 14 rho around rho^2, so each label keeps the window of levels that
+bounds its mass on either side: n_max bounds the mass above it
+(fock_cutoff, poisson_tail), and n_min the mass below it (_lower_cutoff),
+which is 0 for every amplitude up to about 5.  A mode's window spans the
+windows of the labels on it, and a cutoff override keeps the full basis
+[0, n].  Past the build a window is only the levels it holds: evolve,
+mean_energy and the phases take each mode's energies from n_min on, and
+state_overlap needs both states over the same windows.  Amplitudes and
+tails read log n! from one math.lgamma table built at import; tails sum the
+pmf, formed in log space, smallest term first, or for a mean past about
+1.1e5 take Temme's uniform asymptotic expansion.  numpy is the only
+dependency.
 
 Each state step is written once, over a stack of cases that share their
-cutoffs (coefficient arrays along a first axis): _stack builds one, from the
+windows (coefficient arrays along a first axis): _stack builds one, from the
 rows of coherent amplitudes of its labels (_amplitude_stack, one row per
 label) and, for two modes, from those rows and each spec's angles
 (_entangled_stack); _probabilities forms its number distributions, and
@@ -39,11 +48,13 @@ TruncatedState is a stack of one: build_coherent, build_entangled,
 mean_energy and oracle_phases run that body on it.  verify stacks the cases
 of a chunk, at most verify._STACK_CELLS cells per stacked grid, and forms
 the label rows that its pair and twin stacks share with one _amplitude_stack
-call per cutoff; _resolve_cutoffs resolves each of a case's amplitudes once.
+call per window; _resolve_cutoffs resolves each distinct amplitude of a
+chunk once, the desk-scale ones in one array pass (_desk_windows).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -97,6 +108,10 @@ _TAIL_DROP = 55.0 * math.log(2.0)
 #: there the log-space pmf has lost more to rounding than _uniform_tail does.
 _TAIL_TERMS = 1 << 12
 
+#: Relative margin by which _desk_windows' array tests must pass: far wider than the
+#: few-ulp differences between numpy's and libm's exp and log.
+_DESK_MARGIN = 1e-9
+
 OmegaLike = Union[float, Sequence[float]]
 Subject = Union[CoherentParam, EntangledSpec, "TruncatedState"]
 
@@ -105,8 +120,11 @@ Subject = Union[CoherentParam, EntangledSpec, "TruncatedState"]
 class OracleConfig:
     """Knobs for the brute-force verifier.
 
-    n_max_override forces a per-mode cutoff instead of the automatic Poisson
-    tail choice; trunc_tol bounds the neglected tail mass.
+    Without an override each label keeps the levels between its two
+    Poisson(rho^2) cutoffs, and trunc_tol bounds the neglected mass on each
+    side: below n_min and above n_max.  n_max_override forces a per-mode
+    window [0, n] instead, the full basis up to n, and trunc_tol then bounds
+    the mass above n that it leaves out.
     """
 
     n_max_override: int | None = None
@@ -124,29 +142,35 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class TruncatedState:
-    """Complex amplitudes over a truncated number basis, one or two modes.
+    """Complex amplitudes over a window of the number basis, one or two modes.
 
-    coeffs has shape (n_max[0] + 1,) or (n_max[0] + 1, n_max[1] + 1) and is
-    stored read-only.  The constructor copies the array it is given, so the
-    caller's array stays its own and stays writable; the oracle's steps hand
-    over arrays they just allocated through _adopt, which skips that copy.
-    Builders hand out states normalized to within their truncation tolerance.
+    Mode k keeps the number states n_min[k] <= n <= n_max[k]; n_min defaults
+    to zeros, the full basis up to n_max, so TruncatedState(coeffs, n_max)
+    is a full-basis state.  coeffs has shape (n_max[0] - n_min[0] + 1,) or
+    (n_max[0] - n_min[0] + 1, n_max[1] - n_min[1] + 1), its entry [i] or
+    [i, j] the amplitude of |n_min[0] + i> or |n_min[0] + i, n_min[1] + j>,
+    and is stored read-only.  The constructor copies the array it is given,
+    so the caller's array stays its own and stays writable; the oracle's
+    steps hand over arrays they just allocated through _adopt, which skips
+    that copy.  Builders hand out states normalized to within their
+    truncation tolerance, over the windows their labels occupy.
     """
 
     coeffs: np.ndarray
     n_max: tuple[int, ...]
+    n_min: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        self._store(np.array(self.coeffs, dtype=complex), self.n_max)
+        self._store(np.array(self.coeffs, dtype=complex), self.n_max, self.n_min)
 
     @classmethod
-    def _adopt(cls, coeffs: np.ndarray, n_max: tuple[int, ...]) -> TruncatedState:
+    def _adopt(cls, coeffs: np.ndarray, n_max: tuple[int, ...], n_min: tuple[int, ...]) -> TruncatedState:
         """State over a complex array nothing else references, frozen in place, not copied."""
         state = object.__new__(cls)
-        state._store(coeffs, n_max)
+        state._store(coeffs, n_max, n_min)
         return state
 
-    def _store(self, arr: np.ndarray, n_max: tuple[int, ...]) -> None:
+    def _store(self, arr: np.ndarray, n_max: tuple[int, ...], n_min: tuple[int, ...] | None) -> None:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "n_max", tuple(int(n) for n in n_max))
@@ -154,9 +178,12 @@ class TruncatedState:
             raise ValueError("n_max must describe one or two modes")
         if any(n < 1 for n in self.n_max):
             raise ValueError(f"per-mode cutoffs must be >= 1, got {self.n_max}")
-        expected = tuple(n + 1 for n in self.n_max)
+        object.__setattr__(self, "n_min", (0,) * self.modes if n_min is None else tuple(int(n) for n in n_min))
+        if len(self.n_min) != self.modes or not all(0 <= lo <= hi for lo, hi in zip(self.n_min, self.n_max)):
+            raise ValueError(f"lowest levels {self.n_min} must be one per mode, each in [0, n_max = {self.n_max}]")
+        expected = tuple(hi - lo + 1 for lo, hi in zip(self.n_min, self.n_max))
         if arr.shape != expected:
-            raise ValueError(f"coeffs shape {arr.shape} does not match cutoffs {self.n_max}")
+            raise ValueError(f"coeffs shape {arr.shape} does not match levels {self.n_min} to {self.n_max}")
 
     @property
     def modes(self) -> int:
@@ -328,35 +355,83 @@ def _bounded_candidate(mean: float, failing: int, tail_bound: float) -> int:
     return passing
 
 
-def _resolve_cutoffs(groups: Sequence[Sequence[float]], config: OracleConfig) -> list[int]:
-    """The cutoff of each group of amplitudes (the labels on one mode), in order.
+def _lower_cutoff(rho: float, tail_bound: float) -> int:
+    """Largest k, up to rho^2, whose Poisson(rho^2) mass below k stays below tail_bound.
+
+    The mass below 1 is e^{-rho^2}; where it reaches tail_bound the answer is
+    0 with no sum, as for every amplitude up to about 5 at 1e-12.  Otherwise
+    the pmf, formed in log space, rises up to the mean, so one cumulative sum
+    from k = 0 adds its terms smallest first and gives the mass below every
+    candidate.  The cap at rho^2 keeps the answer below fock_cutoff's, and
+    only a tail_bound near 1/2 or above reaches it.  rho^2 must lie within
+    FOCK_CAP, as fock_cutoff requires.
+    """
+    mean = rho * rho
+    if not math.exp(-mean) < tail_bound:
+        return 0
+    below = np.cumsum(_pmf_terms(mean, 0, math.floor(mean)))
+    return int(np.count_nonzero(below < tail_bound))
+
+
+def _resolve_cutoffs(groups: Sequence[Sequence[float]], config: OracleConfig) -> list[tuple[int, int]]:
+    """The window (n_min, n_max) of each group of amplitudes (the labels on one mode), in order.
 
     Each distinct amplitude is resolved once, where it first appears: its
-    fock_cutoff, or under an override its tail at the override.  A group's
-    cutoff is the largest of its labels'; an override whose worst tail in a
-    group reaches trunc_tol raises for the first such group, with that worst
-    tail.
+    window (_lower_cutoff, fock_cutoff), or under an override its tail at
+    the override.  A group's window runs from the lowest n_min of its labels
+    to the highest n_max.  Under an override every window is [0, n], and an
+    override whose worst tail in a group reaches trunc_tol raises for the
+    first such group, with that worst tail.
     """
     n = config.n_max_override
     if n is not None and n > FOCK_CAP:
         raise CapacityError(f"cutoff override {n} exceeds the cap {FOCK_CAP}")
-    resolved: dict[float, float] = {}
-
-    def resolve(rho: float) -> float:
-        if rho not in resolved:
-            resolved[rho] = fock_cutoff(rho, config.trunc_tol) if n is None else poisson_tail(rho * rho, n)
-        return resolved[rho]
-
-    cutoffs = []
+    tol = config.trunc_tol
+    amplitudes = dict.fromkeys(itertools.chain.from_iterable(groups))
+    if n is not None:
+        tails = {rho: poisson_tail(rho * rho, n) for rho in amplitudes}
+        for group in groups:
+            worst = max(map(tails.__getitem__, group))
+            if worst >= tol:
+                raise TruncationError(f"cutoff override {n} leaves tail mass {worst:.3e} >= {tol:.1e}")
+        return [(0, n)] * len(groups)
+    windows = _desk_windows(amplitudes, tol)
+    windows.update((rho, _label_window(rho, tol)) for rho in amplitudes if rho not in windows)
+    spans = []
     for group in groups:
-        worst = max(map(resolve, group))
-        if n is None:
-            cutoffs.append(worst)
-        elif worst >= config.trunc_tol:
-            raise TruncationError(f"cutoff override {n} leaves tail mass {worst:.3e} >= {config.trunc_tol:.1e}")
-        else:
-            cutoffs.append(n)
-    return cutoffs
+        span, *rest = map(windows.__getitem__, group)
+        for lo, hi in rest:
+            if lo < span[0] or hi > span[1]:
+                span = (min(span[0], lo), max(span[1], hi))
+        spans.append(span)
+    return spans
+
+
+def _label_window(rho: float, tail_bound: float) -> tuple[int, int]:
+    """(_lower_cutoff, fock_cutoff) of one amplitude; the upper cutoff first, so that it checks the cap."""
+    n_max = fock_cutoff(rho, tail_bound)
+    return _lower_cutoff(rho, tail_bound), n_max
+
+
+def _desk_windows(rhos: Sequence[float], tail_bound: float) -> dict[float, tuple[int, int]]:
+    """The amplitudes among rhos that _label_window gives (0, FOCK_FLOOR), found in one array pass.
+
+    That window is fock_cutoff's first candidate passing its one-term bound
+    (_tail_bound at FOCK_FLOOR), and _lower_cutoff's e^{-rho^2} reaching
+    tail_bound.  numpy's exp and log may differ from libm's in the last few
+    bits, so only amplitudes that clear both tests by the relative margin
+    _DESK_MARGIN are kept; an amplitude left out goes to _label_window, so
+    every window is the one it gives.
+    """
+    rho = np.fromiter(rhos, float)
+    k = FOCK_FLOOR + 1
+    # a vacuum's log is -inf, so its bound is 0, as _tail_bound's is; an infinite mean is never kept
+    with np.errstate(all="ignore"):
+        mean = rho * rho
+        bound = np.exp(k * np.log(mean) - mean - _LOG_FACTORIAL[k]) * (k + 1) / (k + 1 - mean)
+        desk = (mean <= FOCK_FLOOR) & (bound < tail_bound * (1.0 - _DESK_MARGIN))
+        desk &= np.exp(-mean) >= tail_bound * (1.0 + _DESK_MARGIN)
+    return dict.fromkeys(rho[desk].tolist(), (0, FOCK_FLOOR))
 
 
 def coherent_amplitudes(alpha: CoherentParam, n_max: int) -> np.ndarray:
@@ -365,29 +440,32 @@ def coherent_amplitudes(alpha: CoherentParam, n_max: int) -> np.ndarray:
     Magnitudes are formed in log space so large amplitudes neither overflow
     nor underflow before the tail.
     """
-    return _param_rows([alpha], n_max)[0]
+    return _param_rows([alpha], (0, n_max))[0]
 
 
-def _amplitude_stack(rhos: Sequence[float], phis: Sequence[float], n_max: int) -> np.ndarray:
-    """coherent_amplitudes of each label (rho, phi), one row per label: shape (len(rhos), n_max + 1).
+def _amplitude_stack(rhos: Sequence[float], phis: Sequence[float], window: tuple[int, int]) -> np.ndarray:
+    """coherent_amplitudes of each label (rho, phi) over the levels lo <= n <= hi of window = (lo, hi).
 
-    rho^2 and log rho come from Python per label (float.__pow__ and
-    math.log), whose last bits numpy's square and log do not always match.
-    Each amplitude is one complex exponential of its log-magnitude plus
-    i phi n, so a row's bits do not depend on the rows beside it.
+    One row per label: shape (len(rhos), hi - lo + 1).  rho^2 and log rho
+    come from Python per label (float.__pow__ and math.log), whose last bits
+    numpy's square and log do not always match.  Each amplitude is one
+    complex exponential of its log-magnitude plus i phi n, so a row's bits
+    do not depend on the rows beside it, nor on where its window starts.
     """
-    n = np.arange(n_max + 1)
+    lo, hi = window
+    n = np.arange(lo, hi + 1)
     rhos = np.asarray(rhos, dtype=float).tolist()
     head = np.array([-0.5 * rho**2 for rho in rhos]).reshape(-1, 1)
     # log rho is 0 for the vacuum, whose row is set below
     slope = np.array([math.log(rho) if rho else 0.0 for rho in rhos]).reshape(-1, 1)
-    amps = np.empty((len(rhos), n_max + 1), dtype=complex)
-    amps.real = head + n * slope - 0.5 * _log_factorials(0, n_max + 1)
+    amps = np.empty((len(rhos), n.size), dtype=complex)
+    amps.real = head + n * slope - 0.5 * _log_factorials(lo, hi + 1)
     amps.imag = np.asarray(phis, dtype=float).reshape(-1, 1) * n
     np.exp(amps, out=amps)
     vacuum = [k for k, rho in enumerate(rhos) if rho == 0.0]
     amps[vacuum] = 0.0
-    amps[vacuum, 0] = 1.0
+    if lo == 0:
+        amps[vacuum, 0] = 1.0
     return amps
 
 
@@ -410,33 +488,36 @@ def build_entangled(spec: EntangledSpec, config: OracleConfig | None = None) -> 
 
 
 def _built(subject: CoherentParam | EntangledSpec, config: OracleConfig | None) -> TruncatedState:
-    """The state of one subject: a stack of one, built at the subject's own cutoffs."""
-    n_max = _cutoffs(subject, config or OracleConfig())
-    return TruncatedState._adopt(_stack([subject], n_max)[0], n_max)
+    """The state of one subject: a stack of one, built over the subject's own windows."""
+    windows = _windows(subject, config or OracleConfig())
+    n_min, n_max = zip(*windows)
+    return TruncatedState._adopt(_stack([subject], windows)[0], n_max, n_min)
 
 
-def _cutoffs(subject: CoherentParam | EntangledSpec, config: OracleConfig) -> tuple[int, ...]:
-    """Per-mode cutoffs of a subject's state, each covering the tails of the labels on its mode."""
+def _windows(subject: CoherentParam | EntangledSpec, config: OracleConfig) -> tuple[tuple[int, int], ...]:
+    """Per-mode windows of a subject's state, each spanning the windows of the labels on its mode."""
     if isinstance(subject, CoherentParam):
         return tuple(_resolve_cutoffs([[subject.rho]], config))
     modes = [[subject.alpha.rho, subject.beta.rho], [subject.mu.rho, subject.nu.rho]]
     return tuple(_resolve_cutoffs(modes, config))
 
 
-def _stack(subjects: Sequence[CoherentParam] | Sequence[EntangledSpec], n_max: tuple[int, ...]) -> np.ndarray:
-    """The states of subjects of one kind at shared cutoffs n_max, stacked along a first axis."""
+def _stack(
+    subjects: Sequence[CoherentParam] | Sequence[EntangledSpec], windows: tuple[tuple[int, int], ...]
+) -> np.ndarray:
+    """The states of subjects of one kind over shared per-mode windows, stacked along a first axis."""
     if isinstance(subjects[0], CoherentParam):
-        return _param_rows(subjects, *n_max)
-    n1, n2 = n_max
+        return _param_rows(subjects, *windows)
+    first, second = windows
     k = len(subjects)
-    alpha, beta = _param_rows([s.alpha for s in subjects] + [s.beta for s in subjects], n1).reshape(2, k, n1 + 1)
-    mu, nu = _param_rows([s.mu for s in subjects] + [s.nu for s in subjects], n2).reshape(2, k, n2 + 1)
+    alpha, beta = _param_rows([s.alpha for s in subjects] + [s.beta for s in subjects], first).reshape(2, k, -1)
+    mu, nu = _param_rows([s.mu for s in subjects] + [s.nu for s in subjects], second).reshape(2, k, -1)
     return _entangled_stack([s.theta for s in subjects], [s.varphi for s in subjects], alpha, beta, mu, nu)
 
 
-def _param_rows(labels: Sequence[CoherentParam], n_max: int) -> np.ndarray:
+def _param_rows(labels: Sequence[CoherentParam], window: tuple[int, int]) -> np.ndarray:
     """_amplitude_stack of labels given as CoherentParams."""
-    return _amplitude_stack([label.rho for label in labels], [label.phi for label in labels], n_max)
+    return _amplitude_stack([label.rho for label in labels], [label.phi for label in labels], window)
 
 
 def _entangled_stack(
@@ -447,12 +528,13 @@ def _entangled_stack(
     mu: np.ndarray,
     nu: np.ndarray,
 ) -> np.ndarray:
-    """build_entangled's grid of each spec, from its angles and its label rows: shape (k, n1 + 1, n2 + 1).
+    """build_entangled's grid of each spec, from its angles and its label rows: shape (k, m1, m2).
 
-    Row k of alpha and beta (shape (k, n1 + 1)) and of mu and nu (shape
-    (k, n2 + 1)) are the coherent amplitudes of spec k's labels.  The matrix
-    product runs once per grid, and each grid's squared norm is its own vdot;
-    the first spec whose grid cancels raises DegenerateStateError.
+    Row k of alpha and beta (shape (k, m1)) and of mu and nu (shape (k, m2))
+    are the coherent amplitudes of spec k's labels over each mode's window.
+    The matrix product runs once per grid, and each grid's squared norm is
+    its own vdot; the first spec whose grid cancels raises
+    DegenerateStateError.
     """
     varphi = np.asarray(varphis, dtype=float).reshape(-1, 1)
     halves = [0.5 * theta for theta in np.asarray(thetas, dtype=float).tolist()]
@@ -474,12 +556,12 @@ def _mode_frequencies(omegas: OmegaLike, modes: int) -> tuple[float, ...]:
     return tuple(_checked_nonnegative("omega", w) for w in ws)
 
 
-def _mode_levels(sizes: Sequence[int], omegas: np.ndarray) -> list[np.ndarray]:
-    """Each mode's energies omega (n + 1/2), n below the mode's size, one row per case.
+def _mode_levels(n_min: Sequence[int], sizes: Sequence[int], omegas: np.ndarray) -> list[np.ndarray]:
+    """Each mode's energies omega (n + 1/2) over its window, n_min <= n < n_min + size, one row per case.
 
     Row k of omegas holds case k's checked frequencies, one per mode.
     """
-    return [omegas[:, [mode]] * (np.arange(size) + 0.5) for mode, size in enumerate(sizes)]
+    return [omegas[:, [mode]] * (np.arange(lo, lo + size) + 0.5) for mode, (lo, size) in enumerate(zip(n_min, sizes))]
 
 
 def _state_frequencies(state: TruncatedState, omegas: OmegaLike) -> np.ndarray:
@@ -545,18 +627,20 @@ def evolve(state: TruncatedState, omegas: OmegaLike, t: float) -> TruncatedState
     of one phase vector per mode; they multiply into one new grid.
     """
     t = _checked_finite("t", t)
-    vectors = _phase_vectors(_mode_levels(state.coeffs.shape, _state_frequencies(state, omegas)), [t])
+    vectors = _phase_vectors(_mode_levels(state.n_min, state.coeffs.shape, _state_frequencies(state, omegas)), [t])
     first, *rest = (phases[0] for phases in vectors)
     out = state.coeffs * first.reshape(first.shape + (1,) * len(rest))
     for phases in rest:
         out *= phases
-    return TruncatedState._adopt(out, state.n_max)
+    return TruncatedState._adopt(out, state.n_max, state.n_min)
 
 
 def state_overlap(first: TruncatedState, second: TruncatedState) -> complex:
-    """Inner product <first|second> over a shared truncated basis."""
-    if first.n_max != second.n_max:
-        raise ValueError(f"basis mismatch: {first.n_max} vs {second.n_max}")
+    """Inner product <first|second> over a shared truncated basis: both states keep the same windows."""
+    if (first.n_min, first.n_max) != (second.n_min, second.n_max):
+        raise ValueError(
+            f"basis mismatch: levels {first.n_min} to {first.n_max} vs {second.n_min} to {second.n_max}"
+        )
     return complex(np.vdot(first.coeffs, second.coeffs))
 
 
@@ -567,29 +651,31 @@ def mean_energy(state: TruncatedState, omegas: OmegaLike) -> float:
     of the number distribution |c|^2.
     """
     marginals = _marginals(_probabilities(state.coeffs[None]))
-    return _energies(marginals, _mode_levels(state.coeffs.shape, _state_frequencies(state, omegas)))[0]
+    levels = _mode_levels(state.n_min, state.coeffs.shape, _state_frequencies(state, omegas))
+    return _energies(marginals, levels)[0]
 
 
 def _stack_phases(
-    coeffs: np.ndarray, runs: Sequence[tuple[np.ndarray, Sequence[float]]]
+    coeffs: np.ndarray, n_min: Sequence[int], runs: Sequence[tuple[np.ndarray, Sequence[float]]]
 ) -> list[list[tuple[float, float, float]]]:
     """Per run (omegas, taus), (total, dynamical, geometric) of oracle_phases for each case of a stack.
 
-    In a run, case k evolves at the checked frequencies omegas[k] for the
-    checked time taus[k].  Every run reads its endpoint overlaps and its
-    energies off one real stack, the number distributions |c|^2, and its
-    marginals; no evolved stack is formed, so the distributions, half a
-    stack, are all that is live beside coeffs.  A run's mode energies
-    (_mode_levels) serve both its overlaps and its energies.  Each run is its
-    own pass with its own products, so its bits do not depend on the runs
-    beside it.  The first case whose endpoint overlap vanishes raises.
+    Mode m of the stack keeps the levels from n_min[m] on.  In a run, case
+    k evolves at the checked frequencies omegas[k] for the checked time
+    taus[k].  Every run reads its endpoint overlaps and its energies off one
+    real stack, the number distributions |c|^2, and its marginals; no
+    evolved stack is formed, so the distributions, half a stack, are all
+    that is live beside coeffs.  A run's mode energies (_mode_levels) serve
+    both its overlaps and its energies.  Each run is its own pass with its
+    own products, so its bits do not depend on the runs beside it.  The
+    first case whose endpoint overlap vanishes raises.
     """
     probs = _probabilities(coeffs)
     marginals = _marginals(probs)
     phases = []
     for omegas, taus in runs:
         run_phases = []
-        levels = _mode_levels(coeffs.shape[1:], omegas)
+        levels = _mode_levels(n_min, coeffs.shape[1:], omegas)
         overlaps = _endpoint_overlaps(probs, levels, taus)
         for overlap, energy, tau in zip(overlaps, _energies(marginals, levels), taus):
             total = _defined_phase(overlap)
@@ -661,7 +747,8 @@ def oracle_phases(
     """
     tau = _checked_nonnegative("tau", tau)
     state = _subject_state(subject, config)
-    return PhaseTriple(*_stack_phases(state.coeffs[None], [(_state_frequencies(state, omegas), [tau])])[0][0])
+    runs = [(_state_frequencies(state, omegas), [tau])]
+    return PhaseTriple(*_stack_phases(state.coeffs[None], state.n_min, runs)[0][0])
 
 
 def oracle_geometric_phase(

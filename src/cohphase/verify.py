@@ -18,10 +18,11 @@ so memory does not grow with the sample count.  A chunk draws its attempts
 from the generator in the order a case-by-case loop draws them, decides all
 of them in one array pass of analytic's kernels, and holds its accepted
 cases, in draw order, as one column per binding key; no spec object is
-built.  Each oracle state of the cases (the single mode, the pair and its
-antipodal twin) runs as stacks of cases with equal cutoffs, at most
+built.  A chunk resolves the oracle windows of each distinct amplitude
+once.  Each oracle state of the cases (the single mode, the pair and its
+antipodal twin) runs as stacks of cases with equal windows, at most
 _STACK_CELLS cells each, and a stack of pairs and twins gathers both grids'
-label rows from one amplitude pass per cutoff.  The eleven closed forms run
+label rows from one amplitude pass per window.  The eleven closed forms run
 as one pass of analytic's kernels over the chunk's rows.  Every decision and
 value is bit for bit what the public functions give the case alone, and
 distances are recorded in draw order, so the report, worst cases included,
@@ -116,6 +117,9 @@ _ORACLE_FIELDS = (
     ),
 )
 
+#: The per-mode oracle windows (n_min, n_max) of one state of a case.
+_Windows = tuple[tuple[int, int], ...]
+
 
 @dataclass
 class FamilyResult:
@@ -207,21 +211,20 @@ def _draw(rng: np.random.Generator, count: int) -> dict[str, np.ndarray]:
     return {key: np.concatenate([part[key] for part in kept]) for key in BINDING_KEYS}
 
 
-def _cutoffs(columns: dict[str, np.ndarray], config: oracle.OracleConfig) -> list[tuple[tuple[int, ...], ...]]:
-    """Per case, in draw order, the cutoffs of its oracle states: the single mode, the pair and the twin.
+def _cutoffs(columns: dict[str, np.ndarray], config: oracle.OracleConfig) -> list[tuple[_Windows, ...]]:
+    """Per case, in draw order, the windows of its oracle states: the single mode, the pair and the twin.
 
-    A case resolves each of its amplitudes once (oracle._resolve_cutoffs),
-    its states' modes in the order the states run: alpha; alpha and beta,
-    mu and nu; alpha, mu (the twin's second label on a mode is the first
-    negated).  The first case that cannot meet its cutoffs raises.
+    One oracle._resolve_cutoffs call takes the chunk's modes, case by case
+    in the order the states run: alpha; alpha and beta, mu and nu; alpha, mu
+    (the twin's second label on a mode is the first negated).  It resolves
+    each distinct amplitude once, in the order a case-by-case loop meets
+    them, so the first case that cannot meet its cutoffs raises, with the
+    message that loop gives.
     """
-    cutoffs = []
     amplitudes = zip(*(columns[key].tolist() for key in ("rho_alpha", "rho_beta", "rho_mu", "rho_nu")))
-    for alpha, beta, mu, nu in amplitudes:
-        modes = ((alpha,), (alpha, beta), (mu, nu), (alpha,), (mu,))
-        single, pair1, pair2, twin1, twin2 = oracle._resolve_cutoffs(modes, config)
-        cutoffs.append(((single,), (pair1, pair2), (twin1, twin2)))
-    return cutoffs
+    modes = [mode for a, b, m, n in amplitudes for mode in ((a,), (a, b), (m, n), (a,), (m,))]
+    windows = iter(oracle._resolve_cutoffs(modes, config))
+    return [((single,), (pair1, pair2), (twin1, twin2)) for single, pair1, pair2, twin1, twin2 in zip(*[windows] * 5)]
 
 
 def _oracle_runs(columns: dict[str, np.ndarray]) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
@@ -249,19 +252,19 @@ def _oracle_runs(columns: dict[str, np.ndarray]) -> tuple[tuple[tuple[np.ndarray
     )
 
 
-def _stacks(keys) -> list[tuple[tuple[tuple[int, ...], ...], np.ndarray]]:
+def _stacks(keys) -> list[tuple[tuple[_Windows, ...], np.ndarray]]:
     """(key, indices) of each stack of cases: cases with equal keys, in draw order, in stacks
     of at most _STACK_CELLS cells or of one case.
 
-    A key holds the cutoffs of each state the stack builds, and a case's
-    cells are those of its largest grid.
+    A key holds the per-mode windows of each state the stack builds, and a
+    case's cells are those of its largest grid.
     """
-    groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    groups: dict[tuple[_Windows, ...], list[int]] = {}
     for index, key in enumerate(keys):
         groups.setdefault(key, []).append(index)
     stacks = []
     for key, indices in groups.items():
-        size = max(1, _STACK_CELLS // max(math.prod(n + 1 for n in n_max) for n_max in key))
+        size = max(1, _STACK_CELLS // max(math.prod(hi - lo + 1 for lo, hi in windows) for windows in key))
         stacks += [(key, np.array(indices[start:start + size])) for start in range(0, len(indices), size)]
     return stacks
 
@@ -269,9 +272,9 @@ def _stacks(keys) -> list[tuple[tuple[tuple[int, ...], ...], np.ndarray]]:
 def _oracle_values(columns: dict[str, np.ndarray], cutoffs) -> dict[str, list[float]]:
     """Each family's oracle phase for each case of a chunk, in case order.
 
-    The single-mode states are stacked by cutoff.  The pairs and twins are
-    stacked by the cutoffs of both: per stack, one oracle._amplitude_stack
-    call per distinct cutoff forms the rows of the six labels alpha, beta,
+    The single-mode states are stacked by window.  The pairs and twins are
+    stacked by the windows of both: per stack, one oracle._amplitude_stack
+    call per distinct window forms the rows of the six labels alpha, beta,
     -alpha, mu, nu and -mu, and both grids gather theirs from them.  Each
     stack and its number distributions are built once, and each of the
     state's runs is one pass of the oracle's stacked body.
@@ -279,31 +282,32 @@ def _oracle_values(columns: dict[str, np.ndarray], cutoffs) -> dict[str, list[fl
     values = {name: [math.nan] * len(cutoffs) for name in FAMILY_NAMES}
     runs = _oracle_runs(columns)
 
-    def record(state: int, group: np.ndarray, stack: np.ndarray) -> None:
+    def record(state: int, group: np.ndarray, n_min: tuple[int, ...], stack: np.ndarray) -> None:
         state_runs = [(omegas[group], taus[group].tolist()) for omegas, taus in runs[state]]
-        phases = oracle._stack_phases(stack, state_runs)
+        phases = oracle._stack_phases(stack, n_min, state_runs)
         for run_phases, run_fields in zip(phases, _ORACLE_FIELDS[state]):
             for index, triple in zip(group.tolist(), run_phases):
                 for name, field in run_fields:
                     values[name][index] = triple[field]
 
-    for ((n,),), group in _stacks(states[:1] for states in cutoffs):
-        record(0, group, oracle._amplitude_stack(columns["rho_alpha"][group], columns["phi_alpha"][group], n))
+    for ((window,),), group in _stacks(states[:1] for states in cutoffs):
+        amps = oracle._amplitude_stack(columns["rho_alpha"][group], columns["phi_alpha"][group], window)
+        record(0, group, (window[0],), amps)
     # the six labels alpha, beta, -alpha, mu, nu and -mu, as (binding, label) pairs
     twin = analytic._antipodal_binding(columns)
     labels = ((columns, "alpha"), (columns, "beta"), (twin, "beta"), (columns, "mu"), (columns, "nu"), (twin, "nu"))
     rhos = np.stack([bind["rho_" + k] for bind, k in labels])
     phis = np.stack([bind["phi_" + k] for bind, k in labels])
     theta, varphi = columns["theta"], columns["varphi"]
-    for (pair_n, twin_n), group in _stacks(states[1:] for states in cutoffs):
+    for (pair_w, twin_w), group in _stacks(states[1:] for states in cutoffs):
         rows = {}
-        for n in dict.fromkeys(pair_n + twin_n):
-            amps = oracle._amplitude_stack(rhos[:, group].ravel(), phis[:, group].ravel(), n)
-            rows[n] = amps.reshape(len(labels), len(group), n + 1)
+        for window in dict.fromkeys(pair_w + twin_w):
+            amps = oracle._amplitude_stack(rhos[:, group].ravel(), phis[:, group].ravel(), window)
+            rows[window] = amps.reshape(len(labels), len(group), -1)
         # the pair's grid reads alpha, beta | mu, nu, and the twin's alpha, -alpha | mu, -mu
-        for state, (n1, n2), (beta, nu) in ((1, pair_n, (1, 4)), (2, twin_n, (2, 5))):
-            state_rows = rows[n1][0], rows[n1][beta], rows[n2][3], rows[n2][nu]
-            record(state, group, oracle._entangled_stack(theta[group], varphi[group], *state_rows))
+        for state, (w1, w2), (beta, nu) in ((1, pair_w, (1, 4)), (2, twin_w, (2, 5))):
+            state_rows = rows[w1][0], rows[w1][beta], rows[w2][3], rows[w2][nu]
+            record(state, group, (w1[0], w2[0]), oracle._entangled_stack(theta[group], varphi[group], *state_rows))
     return values
 
 
@@ -355,7 +359,7 @@ def run_verification(
     """Draw `samples` random cases and compare every family against the oracle.
 
     Cases are drawn and evaluated in chunks of _CHUNK_CASES draws.  A chunk's
-    cutoffs are resolved in draw order once it is drawn, so the first case
+    windows are resolved in draw order once it is drawn, so the first case
     that cannot meet its cutoff raises.
     """
     if samples < 1:

@@ -21,9 +21,10 @@ def gauge_twist(path, kappas):
     return path * phases.reshape((-1,) + (1,) * (path.ndim - 1))
 
 
-def endpoint_phase(path, n_max):
-    """Total phase arg <psi_0|psi_K> between the path's first and last states."""
-    return oracle_total_phase(TruncatedState(path[0], n_max), TruncatedState(path[-1], n_max))
+def endpoint_phase(path, state):
+    """Total phase arg <psi_0|psi_K> between the path's first and last states, over state's windows."""
+    first, last = (TruncatedState(coeffs, state.n_max, state.n_min) for coeffs in (path[0], path[-1]))
+    return oracle_total_phase(first, last)
 
 
 def extrapolated_dynamical_phase(state, omegas, tau, steps=512, clock=None):

@@ -198,13 +198,13 @@ def test_criterion_7_gauge_and_reparametrization():
     for tau in (0.9, 2.5):
         times = np.linspace(0.0, tau, 513)
         path = sampled_path(state, omegas, times)
-        chi = endpoint_phase(path, state.n_max)
+        chi = endpoint_phase(path, state)
         delta = quadrature_dynamical_phase(path)
         for amplitude in (0.8, 2.0):
             for frequency in (1.0, 3.0):
                 kappas = amplitude * np.sin(frequency * times)
                 twisted = gauge_twist(path, kappas)
-                chi_tw = endpoint_phase(twisted, state.n_max)
+                chi_tw = endpoint_phase(twisted, state)
                 delta_tw = quadrature_dynamical_phase(twisted)
                 shift = kappas[-1] - kappas[0]
                 assert circle_distance(chi_tw, chi + shift) < 1e-10

@@ -42,10 +42,10 @@ def check_gauge_invariance(state, omegas, tau, amplitude, frequency):
     shift = kappas[-1] - kappas[0]
 
     path = sampled_path(state, omegas, times)
-    chi = endpoint_phase(path, state.n_max)
+    chi = endpoint_phase(path, state)
     delta = quadrature_dynamical_phase(path)
     twisted = gauge_twist(path, kappas)
-    chi_twisted = endpoint_phase(twisted, state.n_max)
+    chi_twisted = endpoint_phase(twisted, state)
     delta_twisted = quadrature_dynamical_phase(twisted)
 
     assert circle_distance(chi_twisted, chi + shift) < 1e-10

@@ -58,6 +58,12 @@ def sequential_cutoff(rho, tail_bound):
     return n
 
 
+def mass_below(k, mean):
+    """Reference Poisson(mean) mass below k, P(N < k) = gammaincc(k, mean) (scipy's regularized upper
+    incomplete gamma function); 0 for k = 0."""
+    return float(special.gammaincc(k, mean)) if k > 0 else 0.0
+
+
 def gammaln_amplitudes(alpha, n_max):
     """coherent_amplitudes' formula with log n! from scipy's gammaln; also returns each magnitude's exponent."""
     n = np.arange(n_max + 1)
@@ -92,9 +98,10 @@ def cutoff_outcome(search, rho, tail_bound):
 
 
 def dense_energies(state, omegas):
-    """sum_k omega_k (n_k + 1/2) on the full grid of the state's basis."""
+    """sum_k omega_k (n_k + 1/2) on the full grid of the state's windows."""
     omegas = np.atleast_1d(omegas)
-    grids = np.meshgrid(*(np.arange(n + 1) + 0.5 for n in state.n_max), indexing="ij")
+    levels = (np.arange(lo, hi + 1) + 0.5 for lo, hi in zip(state.n_min, state.n_max))
+    grids = np.meshgrid(*levels, indexing="ij")
     return sum(w * g for w, g in zip(omegas, grids))
 
 
@@ -106,7 +113,7 @@ OVERLAP_AGREEMENT = 1e-15
 def distribution_overlap(state, omegas, tau):
     """The endpoint overlap oracle_phases reads off the state's number distribution."""
     probs = oracle._probabilities(state.coeffs[None])
-    levels = oracle._mode_levels(state.coeffs.shape, oracle._state_frequencies(state, omegas))
+    levels = oracle._mode_levels(state.n_min, state.coeffs.shape, oracle._state_frequencies(state, omegas))
     return oracle._endpoint_overlaps(probs, levels, [tau])[0]
 
 
@@ -278,6 +285,103 @@ class TestCutoff:
         assert config.n_max_override == 40
         assert type(config.n_max_override) is int
         assert build_coherent(CoherentParam(1.0), config).n_max == (40,)
+
+
+class TestWindow:
+    @pytest.mark.parametrize("tail_bound", [1e-10, 1e-12, 1e-14])
+    def test_lower_cutoff_matches_gammaincc(self, tail_bound):
+        rhos = np.concatenate([np.linspace(0.0, 60.0, 241), np.random.default_rng(5).uniform(0.0, 60.0, 40)])
+        for rho in rhos.tolist():
+            mean = rho * rho
+            n_min = oracle._lower_cutoff(rho, tail_bound)
+            assert mass_below(n_min, mean) < tail_bound <= mass_below(n_min + 1, mean), rho
+            if math.exp(-mean) >= tail_bound:
+                assert n_min == 0
+
+    def test_lower_cutoff_sums_nothing_where_the_vacuum_term_reaches_the_bound(self, monkeypatch):
+        # e^{-rho^2} >= 1e-12 for every rho up to 5.25, the desk amplitudes (rho <= 1.5) included
+        sums = []
+        pmf_terms = oracle._pmf_terms
+        monkeypatch.setattr(oracle, "_pmf_terms", lambda *args: sums.append(args) or pmf_terms(*args))
+        assert [oracle._lower_cutoff(rho, 1e-12) for rho in (0.0, 1.5, 5.2, 5.25)] == [0, 0, 0, 0]
+        assert sums == []
+        assert oracle._lower_cutoff(5.3, 1e-12) == 1
+        assert sums == [(5.3 * 5.3, 0, 28)]
+
+    @pytest.mark.parametrize("tail_bound", [1e-12, 1e-6, 0.05, 0.2, 1e-300])
+    def test_resolved_windows_are_each_labels_window(self, tail_bound):
+        # _resolve_cutoffs settles desk-scale windows in one array pass, with numpy's exp and log;
+        # around the edges of that pass every window is still the scalar one
+        rhos = np.concatenate([np.linspace(0.0, 6.0, 601), np.random.default_rng(6).uniform(0.0, 6.0, 200)]).tolist()
+        config = OracleConfig(trunc_tol=tail_bound)
+        windows = [oracle._label_window(rho, tail_bound) for rho in rhos]
+        assert oracle._resolve_cutoffs([[rho] for rho in rhos], config) == windows
+        pairs = [[a, b] for a, b in zip(rhos, reversed(rhos))]
+        spans = [(min(a[0], b[0]), max(a[1], b[1])) for a, b in zip(windows, reversed(windows))]
+        assert oracle._resolve_cutoffs(pairs, config) == spans
+
+    def test_desk_windows_are_settled_in_one_pass(self, monkeypatch):
+        calls = []
+        label_window = oracle._label_window
+        monkeypatch.setattr(oracle, "_label_window", lambda *args: calls.append(args) or label_window(*args))
+        rhos = np.linspace(0.0, 1.5, 50).tolist()
+        assert oracle._resolve_cutoffs([rhos, rhos[:1]], OracleConfig()) == [(0, FOCK_FLOOR)] * 2
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "n_min, message",
+        [((5,), "lowest levels"), ((-1,), "lowest levels"), ((0, 0), "lowest levels"), ((2,), "shape")],
+    )
+    def test_state_rejects_a_bad_lower_edge(self, n_min, message):
+        # n_min above n_max, negative, of the wrong length, or not matching coeffs' length
+        with pytest.raises(ValueError, match=message):
+            TruncatedState(np.ones(5), (4,), n_min)
+
+    def test_state_window(self):
+        full = TruncatedState(np.ones(5), (4,))
+        assert full.n_min == (0,)
+        window = TruncatedState(np.ones((3, 1)), (4, 6), (2, 6))
+        assert (window.n_min, window.n_max, window.coeffs.shape) == ((2, 6), (4, 6), (3, 1))
+        with pytest.raises(ValueError, match="basis mismatch"):
+            state_overlap(TruncatedState(np.ones(3), (4,), (2,)), TruncatedState(np.ones(3), (3,), (1,)))
+
+    @pytest.mark.parametrize("kind", ["antipodal", "general"])
+    @pytest.mark.parametrize("rho", [6.0, 12.0, 24.0, 36.0])
+    def test_windowed_phases_match_the_full_basis(self, kind, rho):
+        # dropping each label's mass below n_min (under trunc_tol) moves <H> by no more than dropping
+        # the mass above n_max does: the truncation bias bound trunc_tol * tau * sum omega (n_max + 1)
+        rng = np.random.default_rng([int(rho), len(kind)])
+        labels = [
+            CoherentParam(rho * float(rng.uniform(0.9, 1.0)), float(rng.uniform(0.0, 2.0 * PI))) for _ in range(4)
+        ]
+        angles = float(rng.uniform(0.0, PI)), float(rng.uniform(0.0, 2.0 * PI))
+        if kind == "antipodal":
+            spec = EntangledSpec.antipodal(labels[0], labels[1], *angles)
+        else:
+            spec = EntangledSpec(*labels, *angles)
+        # near a cycle, where the endpoint overlap of such large amplitudes stays near 1
+        omegas, tau = tuple(2.0 * PI + float(d) / rho**2 for d in rng.uniform(-0.25, 0.25, 2)), 1.0
+        state = build_entangled(spec)
+        assert all(lo > 0 for lo in state.n_min)
+        full = build_entangled(spec, OracleConfig(n_max_override=max(state.n_max)))
+        assert full.n_min == (0, 0)
+        windowed, reference = oracle_phases(state, omegas, tau), oracle_phases(full, omegas, tau)
+        bound = OracleConfig().trunc_tol * tau * sum(w * (n + 1) for w, n in zip(omegas, state.n_max))
+        for part in ("total", "dynamical", "geometric"):
+            assert circle_distance(getattr(windowed, part), getattr(reference, part)) <= bound, part
+
+    def test_desk_states_keep_the_full_basis_bit_for_bit(self):
+        # every desk amplitude keeps the levels from 0, so a built state is the full-basis build
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            labels = [CoherentParam(float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 2.0 * PI))) for _ in range(4)]
+            spec = EntangledSpec(*labels, float(rng.uniform(0.0, PI)), float(rng.uniform(0.0, 2.0 * PI)))
+            for build, subject in ((build_coherent, labels[0]), (build_entangled, spec)):
+                state = build(subject)
+                full = build(subject, OracleConfig(n_max_override=state.n_max[0]))
+                assert state.n_min == full.n_min == (0,) * state.modes
+                assert state.n_max == full.n_max
+                assert state.coeffs.tobytes() == full.coeffs.tobytes()
 
 
 class TestBuildCoherent:
@@ -468,6 +572,9 @@ class TestMemory:
     def test_peaks(self):
         state = build_entangled(self.spec)
         assert state.n_max == (753, 753)
+        # each mode keeps the 339 levels from n_min = 415, not the 754 from 0
+        assert state.n_min == (415, 415)
+        assert state.coeffs.shape == (339, 339)
         grid_bytes = state.coeffs.nbytes
         # the number distribution |c|^2 is half a grid, and no evolved grid is formed
         assert self.peak_grids(state, grid_bytes) <= 0.6
@@ -659,15 +766,16 @@ class TestOraclePhases:
         else:
             angles = rng.uniform(0.0, PI, (5, 2)) * [1.0, 2.0]
             subjects = [EntangledSpec(label(), label(), label(), label(), *map(float, row)) for row in angles]
-        stack = oracle._stack(subjects, n_max)
+        n_min = (0,) * len(n_max)
+        stack = oracle._stack(subjects, tuple(zip(n_min, n_max)))
         runs = [(rng.uniform(0.0, 2.0, (5, len(n_max))), rng.uniform(0.0, 4.0 * PI, 5).tolist()) for _ in range(3)]
-        phases = oracle._stack_phases(stack, runs)
+        phases = oracle._stack_phases(stack, n_min, runs)
         assert [len(run_phases) for run_phases in phases] == [5, 5, 5]
         for run, (omegas, taus) in enumerate(runs):
             # repr compares the bits, -0.0 and 0.0 included
-            assert repr(oracle._stack_phases(stack, [(omegas, taus)])[0]) == repr(phases[run])
+            assert repr(oracle._stack_phases(stack, n_min, [(omegas, taus)])[0]) == repr(phases[run])
             for k in range(5):
-                alone = oracle._stack_phases(stack[k:k + 1], [(omegas[k:k + 1], taus[k:k + 1])])[0][0]
+                alone = oracle._stack_phases(stack[k:k + 1], n_min, [(omegas[k:k + 1], taus[k:k + 1])])[0][0]
                 assert repr(alone) == repr(phases[run][k])
                 triple = oracle_phases(TruncatedState(stack[k], n_max), tuple(omegas[k]), taus[k])
                 assert repr((triple.total, triple.dynamical, triple.geometric)) == repr(phases[run][k])

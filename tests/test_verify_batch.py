@@ -87,10 +87,10 @@ def record_stack_sizes(monkeypatch, stack_sizes: list[int], modes: int | None = 
     """Append the size of each stack the oracle runs (of modes modes; None: all) to stack_sizes."""
     stack_phases = oracle._stack_phases
 
-    def counting(coeffs, runs):
+    def counting(coeffs, n_min, runs):
         if modes is None or coeffs.ndim == modes + 1:
             stack_sizes.append(len(coeffs))
-        return stack_phases(coeffs, runs)
+        return stack_phases(coeffs, n_min, runs)
 
     monkeypatch.setattr(oracle, "_stack_phases", counting)
 
@@ -154,6 +154,50 @@ def test_report_matches_the_per_case_loop(seed):
         assert repr(family.max_distance) == repr(expected.max_distance)
         assert family.worst_binding == expected.worst_binding
     assert report.passed
+
+
+def per_case_windows(columns, config):
+    """Each case's windows from its own oracle._resolve_cutoffs call, as verify resolved them case by case."""
+    windows = []
+    for a, b, m, n in zip(*(columns[key].tolist() for key in ("rho_alpha", "rho_beta", "rho_mu", "rho_nu"))):
+        single, pair1, pair2, twin1, twin2 = oracle._resolve_cutoffs(((a,), (a, b), (m, n), (a,), (m,)), config)
+        windows.append(((single,), (pair1, pair2), (twin1, twin2)))
+    return windows
+
+
+def outcome(resolve, columns, config):
+    try:
+        return resolve(columns, config)
+    except (oracle.TruncationError, oracle.CapacityError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        OracleConfig(),
+        OracleConfig(trunc_tol=1e-300),
+        OracleConfig(trunc_tol=0.2),
+        OracleConfig(n_max_override=40),
+        # only labels above 1.0, 1.3 or 1.45 fail these; at 1.45 the first two cases pass and the third raises
+        *(OracleConfig(n_max_override=10, trunc_tol=oracle.poisson_tail(rho**2, 10)) for rho in (1.0, 1.3, 1.45)),
+    ],
+)
+def test_chunk_windows_are_each_case_alone(config):
+    columns = verify._draw(np.random.default_rng(1), verify._CHUNK_CASES)
+    expected = outcome(per_case_windows, columns, config)
+    assert outcome(verify._cutoffs, columns, config) == expected
+    if config.n_max_override == 10:
+        assert expected[0] == "TruncationError"
+
+
+def test_windows_are_resolved_once_per_chunk(monkeypatch):
+    calls = []
+    resolve = oracle._resolve_cutoffs
+    monkeypatch.setattr(oracle, "_resolve_cutoffs", lambda *args: calls.append(len(args[0])) or resolve(*args))
+    verify.run_verification(SAMPLES, seed=1)
+    # five modes per case: alpha; alpha, beta and mu, nu; alpha and mu
+    assert calls == [5 * verify._CHUNK_CASES] * (SAMPLES // verify._CHUNK_CASES)
 
 
 def test_a_grid_past_half_the_stack_cap_is_stacked_alone(monkeypatch):
