@@ -23,8 +23,10 @@ structure of the state it built.
 A coherent label's number distribution is Poisson(rho^2), a band of width
 about 14 rho around rho^2, so each label keeps the window of levels that
 bounds its mass on either side: n_max bounds the mass above it
-(fock_cutoff, poisson_tail), and n_min the mass below it (_lower_cutoff),
-which is 0 for every amplitude up to about 5.  A mode's window spans the
+(fock_cutoff, poisson_tail), and n_min the mass below it (_lower_cutoff).
+n_min is 0 wherever e^{-rho^2} reaches trunc_tol: at the default 1e-12 for
+every amplitude up to about 5, and for verify's desk amplitudes (rho <= 1.5)
+at every trunc_tol below e^{-2.25}, about 0.1.  A mode's window spans the
 windows of the labels on it, and a cutoff override keeps the full basis
 [0, n].  Past the build a window is only the levels it holds: evolve,
 mean_energy and the phases take each mode's energies from n_min on, and
@@ -49,7 +51,7 @@ mean_energy and oracle_phases run that body on it.  verify stacks the cases
 of a chunk, at most verify._STACK_CELLS cells per stacked grid, and forms
 the label rows that its pair and twin stacks share with one _amplitude_stack
 call per window; _resolve_cutoffs resolves each distinct amplitude of a
-chunk once, the desk-scale ones in one array pass (_desk_windows).
+chunk once.
 """
 
 from __future__ import annotations
@@ -108,10 +110,6 @@ _TAIL_DROP = 55.0 * math.log(2.0)
 #: there the log-space pmf has lost more to rounding than _uniform_tail does.
 _TAIL_TERMS = 1 << 12
 
-#: Relative margin by which _desk_windows' array tests must pass: far wider than the
-#: few-ulp differences between numpy's and libm's exp and log.
-_DESK_MARGIN = 1e-9
-
 OmegaLike = Union[float, Sequence[float]]
 Subject = Union[CoherentParam, EntangledSpec, "TruncatedState"]
 
@@ -122,9 +120,12 @@ class OracleConfig:
 
     Without an override each label keeps the levels between its two
     Poisson(rho^2) cutoffs, and trunc_tol bounds the neglected mass on each
-    side: below n_min and above n_max.  n_max_override forces a per-mode
-    window [0, n] instead, the full basis up to n, and trunc_tol then bounds
-    the mass above n that it leaves out.
+    side: below n_min and above n_max.  n_min is 0 while e^{-rho^2} reaches
+    trunc_tol, so for verify's desk amplitudes (rho <= 1.5) while trunc_tol
+    stays below e^{-2.25}, about 0.1; a larger one also drops their lowest
+    levels.  n_max_override forces a per-mode window [0, n] instead, the
+    full basis up to n, and trunc_tol then bounds the mass above n that it
+    leaves out.
     """
 
     n_max_override: int | None = None
@@ -395,43 +396,19 @@ def _resolve_cutoffs(groups: Sequence[Sequence[float]], config: OracleConfig) ->
             if worst >= tol:
                 raise TruncationError(f"cutoff override {n} leaves tail mass {worst:.3e} >= {tol:.1e}")
         return [(0, n)] * len(groups)
-    windows = _desk_windows(amplitudes, tol)
-    windows.update((rho, _label_window(rho, tol)) for rho in amplitudes if rho not in windows)
+    lows, highs = {}, {}
+    for rho in amplitudes:
+        highs[rho] = fock_cutoff(rho, tol)  # first, so that it checks rho^2 against the cap
+        lows[rho] = _lower_cutoff(rho, tol)
+    # a plain loop: a group is one or two labels, and a map, min and max per group cost a
+    # 100-case verify chunk about 0.3 ms more
     spans = []
     for group in groups:
-        span, *rest = map(windows.__getitem__, group)
-        for lo, hi in rest:
-            if lo < span[0] or hi > span[1]:
-                span = (min(span[0], lo), max(span[1], hi))
-        spans.append(span)
+        lo, hi = lows[group[0]], highs[group[0]]
+        for rho in group[1:]:
+            lo, hi = min(lo, lows[rho]), max(hi, highs[rho])
+        spans.append((lo, hi))
     return spans
-
-
-def _label_window(rho: float, tail_bound: float) -> tuple[int, int]:
-    """(_lower_cutoff, fock_cutoff) of one amplitude; the upper cutoff first, so that it checks the cap."""
-    n_max = fock_cutoff(rho, tail_bound)
-    return _lower_cutoff(rho, tail_bound), n_max
-
-
-def _desk_windows(rhos: Sequence[float], tail_bound: float) -> dict[float, tuple[int, int]]:
-    """The amplitudes among rhos that _label_window gives (0, FOCK_FLOOR), found in one array pass.
-
-    That window is fock_cutoff's first candidate passing its one-term bound
-    (_tail_bound at FOCK_FLOOR), and _lower_cutoff's e^{-rho^2} reaching
-    tail_bound.  numpy's exp and log may differ from libm's in the last few
-    bits, so only amplitudes that clear both tests by the relative margin
-    _DESK_MARGIN are kept; an amplitude left out goes to _label_window, so
-    every window is the one it gives.
-    """
-    rho = np.fromiter(rhos, float)
-    k = FOCK_FLOOR + 1
-    # a vacuum's log is -inf, so its bound is 0, as _tail_bound's is; an infinite mean is never kept
-    with np.errstate(all="ignore"):
-        mean = rho * rho
-        bound = np.exp(k * np.log(mean) - mean - _LOG_FACTORIAL[k]) * (k + 1) / (k + 1 - mean)
-        desk = (mean <= FOCK_FLOOR) & (bound < tail_bound * (1.0 - _DESK_MARGIN))
-        desk &= np.exp(-mean) >= tail_bound * (1.0 + _DESK_MARGIN)
-    return dict.fromkeys(rho[desk].tolist(), (0, FOCK_FLOOR))
 
 
 def coherent_amplitudes(alpha: CoherentParam, n_max: int) -> np.ndarray:

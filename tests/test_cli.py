@@ -564,6 +564,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "result: PASS" in out
 
+    def test_large_trunc_tol_cuts_desk_windows_from_below(self, capsys):
+        # above e^{-2.25}, about 0.105, a desk amplitude's window drops its lowest levels too
+        code, _, _ = run_cli(capsys, ["verify", "--samples", "2", "--seed", "1", "--trunc-tol", "0.1"])
+        assert code == 0
+        code, out, _ = run_cli(capsys, ["verify", "--samples", "2", "--seed", "1", "--trunc-tol", "0.9"])
+        assert code == 1
+        assert "single_total                       1.113e-01  FAIL\n" in out
+
     def test_truncation_error_exit_code(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "--samples", "1", "--n-max", "5"])
         assert code == 2
